@@ -154,6 +154,32 @@ let dynamic_pair ctx =
                 srcs)));
   ]
 
+(* Valley-free kernels (Fig. 5b/5c): one Directional traversal from a
+   pinned source on the saturated MaxSG set with 30% of broker–broker
+   edges upgraded, and one BGP destination. The relation labels are built
+   during setup, so the rows time the sweeps alone. *)
+let valley_free_pair ctx =
+  let open Bechamel in
+  let topo = E.Ctx.topo ctx in
+  let n = Broker_topo.Topology.n topo in
+  let brokers = E.Ctx.maxsg_order ctx in
+  let is_broker = Broker_core.Connectivity.of_brokers ~n brokers in
+  let upgrades =
+    Broker_core.Directional.upgrade_broker_edges
+      ~rng:(Broker_util.Xrandom.create 17) topo ~brokers ~fraction:0.3
+  in
+  let source = (E.Ctx.directional_sources ctx).(0) in
+  let dest = (Broker_topo.Topology.ases topo).(0) in
+  ignore (Broker_topo.Topology.arc_relations topo);
+  [
+    Test.make ~name:"valley_free"
+      (Staged.stage (fun () ->
+           ignore
+             (Broker_core.Directional.distances ~upgrades topo ~is_broker source)));
+    Test.make ~name:"bgp_routes_to"
+      (Staged.stage (fun () -> ignore (Broker_routing.Bgp.routes_to topo dest)));
+  ]
+
 (* brokerstat hot paths: the sketch record (must bench at 0 allocated
    words — the admission loop calls it per session) and a window-flush
    cycle of the timeseries registry (restart + 256 adds across 64
@@ -214,6 +240,7 @@ let kernel_tests () =
   ]
   @ connectivity_pair ctx
   @ dynamic_pair ctx
+  @ valley_free_pair ctx
   @ brokerstat_tests ()
 
 let chaos_tests () =
@@ -639,7 +666,8 @@ let perf_smoke ~json () =
   let ctx = E.Ctx.create ~scale:0.02 ~sources:32 ~seed:11 () in
   let stats =
     run_suite ~quota:1.0 "kernels"
-      (connectivity_pair ctx @ dynamic_pair ctx @ brokerstat_tests ())
+      (connectivity_pair ctx @ dynamic_pair ctx @ valley_free_pair ctx
+     @ brokerstat_tests ())
   in
   print_suite "kernels (perf smoke)" stats;
   (match json with

@@ -1,88 +1,163 @@
 module G = Broker_graph.Graph
 module T = Broker_topo.Topology
-module Rel = Broker_topo.Node_meta.Relations
+module Nm = Broker_topo.Node_meta
+module Bitset = Broker_util.Bitset
 
-type upgrades = (int * int, unit) Hashtbl.t
+(* One bit per CSR arc of [graph], both arcs of an upgraded edge set;
+   [graph = None] only for the shared empty set. *)
+type upgrades = { graph : G.t option; bits : Bitset.t; count : int }
 
-let no_upgrades : upgrades = Hashtbl.create 1
-
-let canon u v = if u < v then (u, v) else (v, u)
+let no_upgrades = { graph = None; bits = Bitset.create 0; count = 0 }
 
 let upgrade_broker_edges ~rng topo ~brokers ~fraction =
   if fraction < 0.0 || fraction > 1.0 then
     invalid_arg "Directional.upgrade_broker_edges: fraction in [0,1]";
   let g = topo.T.graph in
-  let is_broker = Connectivity.of_brokers ~n:(G.n g) brokers in
-  let candidates = ref [] in
+  let n = G.n g in
+  let is_broker = Connectivity.of_brokers ~n brokers in
+  (* Broker–broker edges (b < w) encoded as [b * n + w], reversed after
+     the scan: the order the shuffle has always seen. *)
+  let found = Array.make (Array.fold_left (fun acc b -> acc + G.degree g b) 0 brokers) 0 in
+  let total = ref 0 in
   Array.iter
     (fun b ->
       G.iter_neighbors g b (fun w ->
-          if b < w && is_broker w then candidates := (b, w) :: !candidates))
+          if b < w && is_broker w then begin
+            found.(!total) <- (b * n) + w;
+            incr total
+          end))
     brokers;
-  let arr = Array.of_list !candidates in
+  let arr = Array.init !total (fun i -> found.(!total - 1 - i)) in
   Broker_util.Xrandom.shuffle rng arr;
   let take = int_of_float (fraction *. float_of_int (Array.length arr)) in
-  let tbl : upgrades = Hashtbl.create (2 * max take 1) in
+  let bits = Bitset.create (G.arcs g) in
+  let count = ref 0 in
   for i = 0 to take - 1 do
-    Hashtbl.replace tbl arr.(i) ()
-  done;
-  tbl
-
-let upgrade_count = Hashtbl.length
-
-(* Two-phase valley-free BFS. State 0 = ascending (customer→provider hops
-   so far only), state 1 = descending (a peak — peer hop or first
-   provider→customer hop — has been passed). *)
-let bfs_valley_free topo ~is_broker ~upgrades src dist_out =
-  let g = topo.T.graph in
-  let n = G.n g in
-  let rel = topo.T.relations in
-  let is_ixp v = T.is_ixp topo v in
-  let dist = Array.make (2 * n) (-1) in
-  let queue = Array.make (2 * n) 0 in
-  let head = ref 0 and tail = ref 0 in
-  let push v s d =
-    let i = (2 * v) + s in
-    if dist.(i) < 0 then begin
-      dist.(i) <- d;
-      queue.(!tail) <- i;
-      incr tail
+    let b = arr.(i) / n and w = arr.(i) mod n in
+    let fwd = G.arc_index g b w in
+    if not (Bitset.mem bits fwd) then begin
+      incr count;
+      Bitset.add bits fwd;
+      Bitset.add bits (G.arc_index g w b)
     end
-  in
-  push src 0 0;
+  done;
+  { graph = Some g; bits; count = !count }
+
+let upgrade_count u = u.count
+
+let check_upgrades upgrades g =
+  match upgrades.graph with
+  | Some g' when g' != g ->
+      invalid_arg "Directional: upgrades built on a different graph"
+  | Some _ | None -> ()
+
+(* Two-phase valley-free BFS over the product (vertex, phase): index
+   [2v] is phase 0 = ascending (customer→provider hops so far only),
+   [2v + 1] is phase 1 = descending (a peak — peer hop, fabric exit or
+   first provider→customer hop — has been passed). [dist] (length 2n, all
+   -1 on entry) receives the product distances and [queue] (length 2n)
+   the visit order; returns how many product states were reached, i.e.
+   the prefix of [queue] the caller resets. The hop class of an arc is
+   resolved from the upgrade bit, the endpoint kinds and the arc's
+   relation label, in that order; unknown relations count as peering. *)
+let[@brokercheck.noalloc] sweep ~off ~adj ~labels ~kinds ~is_broker ~ups
+    ~has_ups dist queue src =
+  dist.(2 * src) <- 0;
+  queue.(0) <- 2 * src;
+  let head = ref 0 and tail = ref 1 in
   while !head < !tail do
     let i = queue.(!head) in
     incr head;
-    let u = i / 2 and s = i land 1 in
-    let d = dist.(i) in
-    G.iter_neighbors g u (fun v ->
-        if is_broker u || is_broker v then begin
-          if Hashtbl.mem upgrades (canon u v) then push v s (d + 1)
-          else if is_ixp v then begin
+    let u = i lsr 1 and s = i land 1 in
+    let d1 = dist.(i) + 1 in
+    let u_broker = is_broker u in
+    let u_ixp = not (Nm.is_as kinds.(u)) in
+    for a = off.(u) to off.(u + 1) - 1 do
+      let v = Array.unsafe_get adj a in
+      if u_broker || is_broker v then begin
+        (* Phase after the hop, or -1 when the hop would form a valley. *)
+        let t =
+          if has_ups && Bitset.unsafe_mem ups a then s
+          else if not (Nm.is_as kinds.(v)) then
             (* Entering an IXP fabric: part of a peering, ascending only. *)
-            if s = 0 then push v 0 (d + 1)
-          end
-          else if is_ixp u then begin
+            if s = 0 then 0 else -1
+          else if u_ixp then
             (* Leaving the fabric consumes the peering transition. *)
-            if s = 0 then push v 1 (d + 1)
+            if s = 0 then 1 else -1
+          else begin
+            let l = Bytes.unsafe_get labels a in
+            if l = Nm.arc_up then if s = 0 then 0 else -1
+            else if l = Nm.arc_down then 1
+            else if s = 0 then 1 (* peer or unknown *)
+            else -1
           end
-          else if Rel.customer_of rel u v then begin
-            if s = 0 then push v 0 (d + 1)
+        in
+        if t >= 0 then begin
+          let j = (2 * v) + t in
+          if dist.(j) < 0 then begin
+            dist.(j) <- d1;
+            queue.(!tail) <- j;
+            incr tail
           end
-          else if Rel.provider_of rel u v then push v 1 (d + 1)
-          else if s = 0 then push v 1 (d + 1) (* peer or unknown *)
-        end)
+        end
+      end
+    done
   done;
-  for v = 0 to n - 1 do
+  !tail
+
+(* Per-traversal scratch over one topology, reused across the sources of
+   one call. *)
+type kernel = {
+  topo : T.t;
+  is_broker : int -> bool;
+  upgrades : upgrades;
+  labels : Bytes.t;
+  dist2 : int array;
+  queue : int array;
+}
+
+let kernel topo ~is_broker ~upgrades =
+  let g = topo.T.graph in
+  check_upgrades upgrades g;
+  let n = G.n g in
+  {
+    topo;
+    is_broker;
+    upgrades;
+    labels = T.arc_relations topo;
+    dist2 = Array.make (2 * n) (-1);
+    queue = Array.make (2 * n) 0;
+  }
+
+(* Valley-free distance from [src] to every vertex (the shorter of the
+   two phases; -1 when unreachable) into [dist_out]. *)
+let run k src dist_out =
+  let g = k.topo.T.graph in
+  let reached =
+    sweep ~off:(G.csr_off g) ~adj:(G.csr_adj g) ~labels:k.labels
+      ~kinds:k.topo.T.kinds ~is_broker:k.is_broker ~ups:k.upgrades.bits
+      ~has_ups:(k.upgrades.count > 0) k.dist2 k.queue src
+  in
+  let dist = k.dist2 in
+  for v = 0 to G.n g - 1 do
     let a = dist.(2 * v) and b = dist.((2 * v) + 1) in
-    dist_out.(v) <-
-      (if a < 0 then b else if b < 0 then a else min a b)
+    dist_out.(v) <- (if a < 0 then b else if b < 0 || a <= b then a else b)
+  done;
+  for q = 0 to reached - 1 do
+    dist.(k.queue.(q)) <- -1
   done
+
+let distances ?(upgrades = no_upgrades) topo ~is_broker src =
+  let n = T.n topo in
+  if src < 0 || src >= n then invalid_arg "Directional.distances: source out of range";
+  let dist = Array.make n (-1) in
+  run (kernel topo ~is_broker ~upgrades) src dist;
+  dist
 
 let curve_sampled ?(l_max = 10) ?(upgrades = no_upgrades) ?source_set ~rng
     ~sources topo ~is_broker =
-  let g = topo.T.graph in
-  let n = G.n g in
+  let n = T.n topo in
+  let kern = kernel topo ~is_broker ~upgrades in
   if n < 2 then
     { Connectivity.l_max; per_hop = Array.make (l_max + 1) 0.0; saturated = 0.0 }
   else begin
@@ -98,7 +173,7 @@ let curve_sampled ?(l_max = 10) ?(upgrades = no_upgrades) ?source_set ~rng
     let dist = Array.make n (-1) in
     Array.iter
       (fun s ->
-        bfs_valley_free topo ~is_broker ~upgrades s dist;
+        run kern s dist;
         Array.iteri
           (fun v d ->
             if v <> s && d > 0 then begin

@@ -13,7 +13,11 @@
     signs internally. *)
 
 type upgrades
-(** A set of undirected edges upgraded to free traversal. *)
+(** A set of undirected edges upgraded to free traversal: one bit per
+    CSR arc of the graph it was built on. Upgrades are tied to that graph
+    (by physical identity); every function below raises
+    [Invalid_argument] when given upgrades built on another graph.
+    {!no_upgrades} fits every graph. *)
 
 val no_upgrades : upgrades
 
@@ -26,6 +30,17 @@ val upgrade_broker_edges :
 (** Uniformly sample [fraction] of the broker–broker edges. *)
 
 val upgrade_count : upgrades -> int
+
+val distances :
+  ?upgrades:upgrades ->
+  Broker_topo.Topology.t ->
+  is_broker:(int -> bool) ->
+  int ->
+  int array
+(** [distances topo ~is_broker src]: the valley-free, B-dominated hop
+    distance from [src] to every vertex ([-1] when unreachable) — the
+    per-source BFS underneath {!curve_sampled}.
+    @raise Invalid_argument when [src] is out of range. *)
 
 val curve_sampled :
   ?l_max:int ->

@@ -26,8 +26,15 @@ val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 val neighbors : t -> int -> int array
 (** Fresh array of the (sorted) neighbors. *)
 
+val arc_index : t -> int -> int -> int
+(** [arc_index g u v] is the position of the directed arc [u → v] in
+    {!csr_adj} (an index in [csr_off.(u) .. csr_off.(u+1) - 1]), or [-1]
+    when [(u,v)] is not an edge or either endpoint is out of range.
+    O(log degree) binary search over [u]'s sorted segment. Per-arc side
+    tables (relation labels, upgrade bits) are indexed by this position. *)
+
 val mem_edge : t -> int -> int -> bool
-(** O(log degree) adjacency test. *)
+(** O(log degree) adjacency test: [arc_index g u v >= 0]. *)
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** Each undirected edge exactly once, with [u < v]. *)

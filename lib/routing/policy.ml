@@ -1,25 +1,35 @@
 module T = Broker_topo.Topology
-module Rel = Broker_topo.Node_meta.Relations
+module G = Broker_graph.Graph
+module Nm = Broker_topo.Node_meta
 
 type hop_class = Up | Down | Flat | Into_fabric | Out_of_fabric
 
-let classify topo u v =
-  if not (Broker_graph.Graph.mem_edge topo.T.graph u v) then
-    invalid_arg "Policy.classify: not an edge";
+(* The one derivation of a hop class: endpoint kinds first (IXP fabrics
+   are transparent), then the arc's relation label; unknown relations
+   are Flat. [arc] is the position of u → v in the CSR. *)
+let classify_arc topo labels arc u v =
   if T.is_ixp topo v then Into_fabric
   else if T.is_ixp topo u then Out_of_fabric
-  else if Rel.customer_of topo.T.relations u v then Up
-  else if Rel.provider_of topo.T.relations u v then Down
-  else Flat
+  else begin
+    let l = Bytes.get labels arc in
+    if l = Nm.arc_up then Up else if l = Nm.arc_down then Down else Flat
+  end
+
+let classify topo u v =
+  let arc = G.arc_index topo.T.graph u v in
+  if arc < 0 then invalid_arg "Policy.classify: not an edge";
+  classify_arc topo (T.arc_relations topo) arc u v
 
 (* State machine: 0 = ascending, 1 = descending. The single permitted
    "peak" is a Flat hop or an AS→IXP→AS fabric crossing. *)
 let valley_free topo path =
+  let labels = T.arc_relations topo in
   let rec walk state = function
     | u :: (v :: _ as rest) ->
-        if not (Broker_graph.Graph.mem_edge topo.T.graph u v) then false
+        let arc = G.arc_index topo.T.graph u v in
+        if arc < 0 then false
         else begin
-          match (classify topo u v, state) with
+          match (classify_arc topo labels arc u v, state) with
           | Up, 0 -> walk 0 rest
           | Up, _ -> false
           | Down, _ -> walk 1 rest

@@ -28,6 +28,26 @@ type relation =
   | Peer
   | Ixp_member
 
+(** {1 Per-arc relation labels}
+
+    {!Relations.arc_labels} resolves every directed CSR arc [u → v] (see
+    {!Broker_graph.Graph.arc_index}) to one byte, read from [u]'s side. *)
+
+val arc_none : char
+(** No relation recorded for the edge. *)
+
+val arc_up : char
+(** Customer → provider: [u] buys transit from [v]. *)
+
+val arc_down : char
+(** Provider → customer. *)
+
+val arc_peer : char
+(** Settlement-free peering. *)
+
+val arc_ixp : char
+(** IXP membership (either direction). *)
+
 (** Business relations of all edges of a topology. Lookup is
     orientation-aware: [customer_of t u v] answers whether [u] buys transit
     from [v]. *)
@@ -50,4 +70,18 @@ module Relations : sig
   (** True for both [Peer] and [Ixp_member] edges. *)
 
   val cardinal : t -> int
+
+  val stamp : t -> int
+  (** Mutation stamp: every [add_*] call increments it. *)
+
+  val arc_labels : t -> Broker_graph.Graph.t -> Bytes.t
+  (** [arc_labels t g] has one byte per arc of [g] ([Graph.arcs g]
+      bytes), indexed like [Graph.csr_adj g]: one of {!arc_none},
+      {!arc_up}, {!arc_down}, {!arc_peer}, {!arc_ixp}. Built in one pass
+      over the table on first use and memoised for the pair
+      ([g] by physical identity, {!stamp}); a later [add_*] or a
+      different graph triggers a rebuild. Each build bumps the
+      deterministic counter [topo.arc_relations.builds]. Builds are
+      serialised, so concurrent callers share one build. The result is
+      shared: callers must not mutate it. *)
 end

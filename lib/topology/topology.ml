@@ -12,6 +12,8 @@ let n t = G.n t.graph
 let is_ixp t v = Node_meta.kind_equal t.kinds.(v) Node_meta.Ixp
 let is_as t v = not (is_ixp t v)
 
+let arc_relations t = Node_meta.Relations.arc_labels t.relations t.graph
+
 let filter_nodes t pred =
   let out = ref [] in
   for v = n t - 1 downto 0 do

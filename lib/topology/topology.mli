@@ -14,6 +14,13 @@ type t = {
 val n : t -> int
 val is_ixp : t -> int -> bool
 val is_as : t -> int -> bool
+val arc_relations : t -> Bytes.t
+(** The business relation of every directed arc of [graph], one byte per
+    arc indexed like [Broker_graph.Graph.csr_adj] ([Node_meta.arc_up] when
+    the arc's tail is the customer, and so on). Built on first use and
+    memoised; mutating [relations] invalidates it. See
+    {!Node_meta.Relations.arc_labels}. *)
+
 val ixps : t -> int array
 val ases : t -> int array
 

@@ -25,6 +25,21 @@ let test_graph_neighbors_sorted () =
   let g = G.of_edges ~n:5 [| (2, 4); (2, 0); (2, 3); (2, 1) |] in
   Alcotest.(check (array int)) "sorted" [| 0; 1; 3; 4 |] (G.neighbors g 2)
 
+let test_graph_arc_index () =
+  let g = G.of_edges ~n:6 [| (0, 1); (0, 3); (1, 2); (3, 4); (0, 5); (2, 5) |] in
+  let off = G.csr_off g and adj = G.csr_adj g in
+  for u = 0 to G.n g - 1 do
+    for i = off.(u) to off.(u + 1) - 1 do
+      check_int "arc position" i (G.arc_index g u adj.(i))
+    done
+  done;
+  check_int "absent" (-1) (G.arc_index g 1 4);
+  check_int "self" (-1) (G.arc_index g 2 2);
+  check_int "out of range" (-1) (G.arc_index g 0 6);
+  check_int "negative" (-1) (G.arc_index g (-1) 0);
+  let empty = G.of_edges ~n:3 [||] in
+  check_int "isolated" (-1) (G.arc_index empty 0 1)
+
 let test_graph_mem_edge () =
   let g = barbell_graph () in
   check_bool "edge" true (G.mem_edge g 2 3);
@@ -260,6 +275,7 @@ let suite =
         Alcotest.test_case "dedupe & self loops" `Quick test_graph_dedupe_self_loops;
         Alcotest.test_case "neighbors sorted" `Quick test_graph_neighbors_sorted;
         Alcotest.test_case "mem_edge" `Quick test_graph_mem_edge;
+        Alcotest.test_case "arc_index" `Quick test_graph_arc_index;
         Alcotest.test_case "iter_edges once" `Quick test_graph_iter_edges_once;
         Alcotest.test_case "bad endpoint" `Quick test_graph_bad_endpoint;
         Alcotest.test_case "max degree" `Quick test_graph_max_degree;
