@@ -180,6 +180,36 @@ let valley_free_pair ctx =
       (Staged.stage (fun () -> ignore (Broker_routing.Bgp.routes_to topo dest)));
   ]
 
+(* The simulator's cache-miss path: a workspace search plus the path
+   read for each of 64 fixed pairs, with the first 50 MaxSG brokers live
+   (the perfbench simulator's broker set). Pairs are drawn during setup,
+   so the row times the kernel alone. *)
+let dominated_path_test ctx =
+  let open Bechamel in
+  let module D = Broker_core.Dominating in
+  let g = E.Ctx.graph ctx in
+  let n = Broker_graph.Graph.n g in
+  let order = E.Ctx.maxsg_order ctx in
+  let live = Array.make n false in
+  Array.iter
+    (fun b -> live.(b) <- true)
+    (Array.sub order 0 (min 50 (Array.length order)));
+  let vw = Broker_graph.View.of_graph g in
+  let rng = Broker_util.Xrandom.create 29 in
+  let pairs =
+    Array.init 64 (fun _ ->
+        (Broker_util.Xrandom.int rng n, Broker_util.Xrandom.int rng n))
+  in
+  let ws = D.workspace () in
+  [
+    Test.make ~name:"dominated_path"
+      (Staged.stage (fun () ->
+           Array.iter
+             (fun (u, v) ->
+               if D.search ws vw ~live u v then ignore (D.path ws ~src:u ~dst:v))
+             pairs));
+  ]
+
 (* brokerstat hot paths: the sketch record (must bench at 0 allocated
    words — the admission loop calls it per session) and a window-flush
    cycle of the timeseries registry (restart + 256 adds across 64
@@ -241,6 +271,7 @@ let kernel_tests () =
   @ connectivity_pair ctx
   @ dynamic_pair ctx
   @ valley_free_pair ctx
+  @ dominated_path_test ctx
   @ brokerstat_tests ()
 
 let chaos_tests () =
@@ -667,7 +698,7 @@ let perf_smoke ~json () =
   let stats =
     run_suite ~quota:1.0 "kernels"
       (connectivity_pair ctx @ dynamic_pair ctx @ valley_free_pair ctx
-     @ brokerstat_tests ())
+     @ dominated_path_test ctx @ brokerstat_tests ())
   in
   print_suite "kernels (perf smoke)" stats;
   (match json with

@@ -107,20 +107,19 @@ let compute ?(requests_per_phase = 4000) ctx =
   in
   let is_broker = Array.make n false in
   Array.iter (fun b -> is_broker.(b) <- true) brokers;
+  let view = Broker_graph.View.of_graph g in
+  let dws = Broker_core.Dominating.workspace () in
   let run_strategy (label, strategy) =
-    let down = Array.make n false in
+    (* Live brokers: crashed ones stop dominating hops until recovery. *)
+    let live = Array.copy is_broker in
     let cache =
       Cache.create ~strategy ~seed:(Ctx.seed ctx lxor 0xCACE) ~n
         ~shards:brokers ()
     in
     let compute_path src dst =
-      match
-        Broker_core.Dominating.find_dominated_path g
-          ~is_broker:(fun v -> is_broker.(v) && not down.(v))
-          src dst
-      with
-      | [] -> None
-      | path -> Some (Array.of_list path)
+      if Broker_core.Dominating.search dws view ~live src dst then
+        Some (Broker_core.Dominating.path dws ~src ~dst)
+      else None
     in
     let run_phase idx name prev =
       for i = idx * requests_per_phase to ((idx + 1) * requests_per_phase) - 1
@@ -150,7 +149,7 @@ let compute ?(requests_per_phase = 4000) ctx =
     let owners () = Array.map (fun (s, d) -> Cache.owner cache s d) sample_keys in
     let warm, after_warm = run_phase 0 "warm" (Cache.stats cache) in
     let owners_before = owners () in
-    Array.iter (fun b -> down.(b) <- true) crashed;
+    Array.iter (fun b -> live.(b) <- false) crashed;
     Array.iter (Cache.crash cache) crashed;
     let owners_after = owners () in
     let remapped = ref 0 in
@@ -177,7 +176,7 @@ let compute ?(requests_per_phase = 4000) ctx =
       }
     in
     let churn, after_churn = run_phase 1 "churn" after_warm in
-    Array.iter (fun b -> down.(b) <- false) crashed;
+    Array.iter (fun b -> live.(b) <- is_broker.(b)) crashed;
     Array.iter (Cache.recover cache) crashed;
     let recovered, _ = run_phase 2 "recovered" after_churn in
     ([ warm; churn; recovered ], remap)

@@ -2,7 +2,7 @@
     sparse delta overlay.
 
     Every traversal kernel ({!Bfs.run_view}, {!Msbfs.run_view},
-    {!Projected.project_view}, [Dominating.find_dominated_path_view])
+    {!Projected.project_view}, [Dominating.search])
     consumes a view, so dynamic-topology callers pay for the overlay
     only on the vertices it actually touched. {!of_graph} is O(1) and
     allocation is a single record, which keeps the [Graph.t] wrappers of

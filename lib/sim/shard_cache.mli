@@ -84,8 +84,8 @@ val find :
 (** [find t ~compute src dst] is the cached dominated path for the pair,
     calling [compute] on a miss (or repair/refresh) and storing the
     result. [compute] must respect current liveness — it is the
-    [find_dominated_path] closure of the caller. [None] results (no
-    dominated path) are cached too. *)
+    caller's dominated-path search under its live-broker mask. [None]
+    results (no dominated path) are cached too. *)
 
 val crash : t -> int -> unit
 (** Shard [b] went down. {!Flush}: evict exactly the keys riding [b].

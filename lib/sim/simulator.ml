@@ -142,7 +142,7 @@ type ev =
 
 type block_reason = No_path | Capacity | Shed
 
-let validate ~n ~brokers config =
+let validate ~n ~brokers ~faults ~updates config =
   if Float.is_nan config.price || config.price < 0.0 then
     invalid_arg "Simulator.run: price must be >= 0";
   if Float.is_nan config.employee_cost || config.employee_cost < 0.0 then
@@ -152,14 +152,30 @@ let validate ~n ~brokers config =
       if b < 0 || b >= n then invalid_arg "Simulator.run: broker id out of range";
       if not (config.capacity_of b >= 0.0) then
         invalid_arg "Simulator.run: capacity_of must be >= 0")
-    brokers
+    brokers;
+  Array.iter
+    (fun (e : Topo_stream.event) ->
+      let u, v = Topo_stream.op_endpoints e.Topo_stream.op in
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Simulator.run: topo update endpoint out of range")
+    updates;
+  (* In-range fault events for non-brokers are ignored by [run]; an id
+     outside the graph is a caller error. *)
+  Array.iter
+    (fun (e : Faults.event) ->
+      if e.Faults.broker < 0 || e.Faults.broker >= n then
+        invalid_arg "Simulator.run: fault broker id out of range")
+    faults
 
 let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
     ~brokers ~sessions config =
   let tr0 = Obs.Trace.enter () in
   let g = topo.Broker_topo.Topology.graph in
   let n = G.n g in
-  validate ~n ~brokers config;
+  validate ~n ~brokers
+    ~faults:(match chaos with None -> [||] | Some c -> c.faults)
+    ~updates:(match topo_churn with None -> [||] | Some tc -> tc.updates)
+    config;
   (* Timeline collection is strictly opt-in: with [?stats_window] absent
      not a single series is touched, so the default path stays
      byte-identical (the timelines never feed back into admission). *)
@@ -172,16 +188,8 @@ let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
         List.iter (fun s -> Obs.Timeseries.restart ~window:w s) timeline_series;
         true
   in
-  (match topo_churn with
-  | None -> ()
-  | Some tc ->
-      Array.iter
-        (fun (e : Topo_stream.event) ->
-          let u, v = Topo_stream.op_endpoints e.Topo_stream.op in
-          if u < 0 || u >= n || v < 0 || v >= n then
-            invalid_arg "Simulator.run: topo update endpoint out of range")
-        tc.updates);
-  let is_broker = Broker_core.Connectivity.of_brokers ~n brokers in
+  let is_broker = Array.make n false in
+  Array.iter (fun b -> is_broker.(b) <- true) brokers;
   let has_chaos = Option.is_some chaos in
   let failover_on, retry, breaker, fault_events, chaos_seed =
     match chaos with
@@ -192,12 +200,14 @@ let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
   (* Broker liveness: a down-counter per vertex (correlated scenarios can
      crash an already-down broker); a down broker stops being a broker — it
      neither dominates edges nor carries reservations — but keeps forwarding
-     as a plain AS, mirroring Broker_core.Resilience. *)
+     as a plain AS, mirroring Broker_core.Resilience. [live.(v)] caches
+     [is_broker.(v) && down.(v) = 0] for the path search and the hop
+     accounting; it flips only on the 0<->1 transitions of [down.(v)]. *)
   let down = Array.make n 0 in
+  let live = Array.copy is_broker in
   let down_since = Array.make n 0.0 in
   let total_down = ref 0 in
   let downtime = ref 0.0 in
-  let is_broker_live v = is_broker v && down.(v) = 0 in
   (* Per-broker capacity accounting with lazy time-integrated usage. *)
   let used = Hashtbl.create 1024 in
   let area = Hashtbl.create 1024 in
@@ -268,17 +278,17 @@ let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
   let tview = ref (Broker_graph.View.of_graph g) in
   let topo_applied = ref 0 in
   let topo_ignored = ref 0 in
+  (* One search workspace for the whole run: a cache miss allocates only
+     the path it returns. *)
+  let dws = Broker_core.Dominating.workspace () in
   let path_for t src dst =
     if tl_on then Obs.Timeseries.add ts_lookups ~time:t 1;
     Shard_cache.find pcache
       ~compute:(fun () ->
         if tl_on then Obs.Timeseries.add ts_recomputes ~time:t 1;
-        match
-          Broker_core.Dominating.find_dominated_path_view !tview
-            ~is_broker:is_broker_live src dst
-        with
-        | [] -> None
-        | path -> Some (Array.of_list path))
+        if Broker_core.Dominating.search dws !tview ~live src dst then
+          Some (Broker_core.Dominating.path dws ~src ~dst)
+        else None)
       src dst
   in
   let events : ev Event_queue.t = Event_queue.create () in
@@ -288,7 +298,7 @@ let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
      for vertices outside the broker set are ignored. *)
   Array.iter
     (fun (e : Faults.event) ->
-      if is_broker e.Faults.broker then
+      if is_broker.(e.Faults.broker) then
         Event_queue.add events ~time:e.Faults.time
           (Fault (e.Faults.kind, e.Faults.broker)))
     fault_events;
@@ -324,12 +334,12 @@ let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
   (* Single-pass broker filter over a path (no list round-trip). *)
   let filter_live_brokers path =
     let count = ref 0 in
-    Array.iter (fun v -> if is_broker_live v then incr count) path;
+    Array.iter (fun v -> if live.(v) then incr count) path;
     let out = Array.make !count 0 in
     let j = ref 0 in
     Array.iter
       (fun v ->
-        if is_broker_live v then begin
+        if live.(v) then begin
           out.(!j) <- v;
           incr j
         end)
@@ -394,7 +404,7 @@ let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
           (* Employees: intermediate non-(live-)broker vertices. *)
           let employees = ref 0 in
           for i = 1 to Array.length path - 2 do
-            if not (is_broker_live path.(i)) then incr employees
+            if not live.(path.(i)) then incr employees
           done;
           employee_hops_total := !employee_hops_total + (2 * !employees);
           let dt = s.Workload.duration *. s.Workload.demand in
@@ -442,6 +452,7 @@ let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
   let on_crash b t =
     down.(b) <- down.(b) + 1;
     if down.(b) = 1 then begin
+      live.(b) <- false;
       incr total_down;
       down_since.(b) <- t;
       Shard_cache.crash pcache b;
@@ -492,6 +503,7 @@ let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
     if down.(b) > 0 then begin
       down.(b) <- down.(b) - 1;
       if down.(b) = 0 then begin
+        live.(b) <- true;
         decr total_down;
         downtime := !downtime +. (t -. down_since.(b));
         Shard_cache.recover pcache b
@@ -609,7 +621,11 @@ let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
       touched;
     if !count = 0 then 0.0 else !sum /. float_of_int !count
   in
-  let n_brokers = Array.length brokers in
+  (* Downtime accrues once per distinct vertex, so a broker listed twice
+     must not double the denominator. *)
+  let n_brokers =
+    Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 is_broker
+  in
   let availability =
     if n_brokers = 0 || horizon <= 0.0 then 1.0
     else

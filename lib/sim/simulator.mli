@@ -70,9 +70,9 @@ val default_breaker : breaker_policy
 
 type chaos = {
   faults : Faults.event array;
-      (** pre-generated, time-sorted; events for non-broker vertices are
-          ignored. At equal times faults are served before departures and
-          retries (pessimistic order). *)
+      (** pre-generated, time-sorted; events for in-range non-broker
+          vertices are ignored. At equal times faults are served before
+          departures and retries (pessimistic order). *)
   failover : bool;
       (** when a broker crashes, try to move its in-flight sessions onto an
           alternate dominated path avoiding every down broker (the X7
@@ -124,7 +124,8 @@ type stats = {
           clipped to the run horizon *)
   revenue_lost : float;  (** refunds issued for mid-flight drops *)
   availability : float;
-      (** 1 − downtime / (brokers · horizon); 1.0 without chaos *)
+      (** 1 − downtime / (distinct brokers · horizon); 1.0 without
+          chaos *)
   topo_applied : int;
       (** delivered topology updates that changed the edge set *)
   topo_ignored : int;
@@ -189,6 +190,6 @@ val run :
     every golden are byte-identical with or without it; with the
     option absent no series is touched at all.
     @raise Invalid_argument on out-of-order arrivals, negative [price],
-    [employee_cost] or [capacity_of], an out-of-range broker or topology
-    update endpoint, an invalid cache strategy ([Ring] with
-    [vnodes < 1]), or a non-positive [stats_window]. *)
+    [employee_cost] or [capacity_of], an out-of-range broker, fault
+    broker or topology update endpoint, an invalid cache strategy
+    ([Ring] with [vnodes < 1]), or a non-positive [stats_window]. *)

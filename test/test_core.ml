@@ -347,6 +347,151 @@ let test_broker_only_partial () =
   check_float "saturated equals" 0.3 r.Dominating.saturated_pairs;
   check_float "ratio 1" 1.0 r.Dominating.ratio
 
+(* ---------- Dominated-path kernel vs the list-BFS oracle ---------- *)
+
+module View = Broker_graph.View
+module X = Broker_util.Xrandom
+
+(* One workspace for every oracle case, across graphs of different n, so
+   both the grow path and reuse of larger stale arrays run. *)
+let oracle_ws = Dominating.workspace ()
+
+let kernel_list ws vw ~live u v =
+  if Dominating.search ws vw ~live u v then
+    Array.to_list (Dominating.path ws ~src:u ~dst:v)
+  else []
+
+(* Kernel, closure wrapper and oracle agree on every pair. The kernel's
+   search and its path read are split by a wrapper call on the next pair,
+   so the wrapper's domain-local workspace must not touch [oracle_ws]. *)
+let kernel_agrees vw ~live pairs =
+  let is_broker x = live.(x) in
+  let k = Array.length pairs in
+  let ok = ref true in
+  Array.iteri
+    (fun i (u, v) ->
+      let expect = Oracle_dominated.find_dominated_path_view vw ~is_broker u v in
+      let found = Dominating.search oracle_ws vw ~live u v in
+      let u', v' = pairs.((i + 1) mod k) in
+      let wrapped = Dominating.find_dominated_path_view vw ~is_broker u' v' in
+      let got =
+        if found then Array.to_list (Dominating.path oracle_ws ~src:u ~dst:v) else []
+      in
+      if got <> expect then ok := false;
+      if wrapped <> Oracle_dominated.find_dominated_path_view vw ~is_broker u' v' then
+        ok := false)
+    pairs;
+  !ok
+
+(* Random pairs, one in eight of the form (u, u); the liveness masks
+   below leave many targets unreachable. *)
+let oracle_pairs rng n =
+  Array.init 48 (fun i ->
+      let u = X.int rng n in
+      if i mod 8 = 0 then (u, u) else (u, X.int rng n))
+
+(* The given fraction of an n/10 MaxSG order as brokers, each down with
+   probability [down]. *)
+let random_live rng g ~prefix ~down =
+  let n = G.n g in
+  let order = Maxsg.run g ~k:(max 1 (n / 10)) in
+  let k = int_of_float (prefix *. float_of_int (Array.length order)) in
+  let live = Array.make n false in
+  for i = 0 to k - 1 do
+    live.(order.(i)) <- X.float rng 1.0 >= down
+  done;
+  live
+
+let oracle_arb =
+  QCheck.make
+    ~print:(fun (seed, scale, prefix, down) ->
+      Printf.sprintf "<seed=%d scale=%.3f prefix=%.2f down=%.2f>" seed scale prefix down)
+    QCheck.Gen.(
+      quad (int_range 1 1_000_000) (float_range 0.01 0.05) (float_range 0.0 1.0)
+        (float_range 0.0 0.6))
+
+let check_prop ?(count = 10) ~seed name law =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
+    (QCheck.Test.make ~count ~name oracle_arb law)
+
+let oracle_static =
+  check_prop ~seed:20170612 "kernel = list BFS oracle" (fun (seed, scale, prefix, down) ->
+      let g = (small_internet ~seed ~scale ()).Broker_topo.Topology.graph in
+      let rng = X.create seed in
+      let live = random_live rng g ~prefix ~down in
+      kernel_agrees (View.of_graph g) ~live (oracle_pairs rng (G.n g)))
+
+(* Delta views after successive bursts: dirty vertices read their
+   override segments. Liveness is redrawn between bursts, as crashes and
+   recoveries would. *)
+let oracle_delta =
+  check_prop ~seed:20170613 "kernel = oracle on deltas"
+    (fun (seed, scale, prefix, down) ->
+      let g = (small_internet ~seed ~scale ()).Broker_topo.Topology.graph in
+      let rng = X.create seed in
+      let d = Broker_graph.Delta.create g in
+      List.for_all
+        (fun round ->
+          Array.iter
+            (function
+              | Broker_sim.Topo_stream.Announce (u, v) ->
+                  ignore (Broker_graph.Delta.add_edge d u v)
+              | Broker_sim.Topo_stream.Withdraw (u, v) ->
+                  ignore (Broker_graph.Delta.remove_edge d u v))
+            (Broker_sim.Topo_stream.burst ~rng:(X.create (seed + round)) g ~size:24);
+          let live = random_live rng g ~prefix ~down in
+          kernel_agrees (Broker_graph.Delta.view d) ~live (oracle_pairs rng (G.n g)))
+        [ 1; 2; 3 ])
+
+let test_kernel_edge_cases () =
+  (* Path 0-1-2-3-4 plus isolated vertex 5; broker 1 dominates 0-1-2. *)
+  let g = G.of_edges ~n:6 [| (0, 1); (1, 2); (2, 3); (3, 4) |] in
+  let vw = View.of_graph g in
+  let live = [| false; true; false; false; false; false |] in
+  let ws = Dominating.workspace () in
+  Alcotest.(check (list int)) "u = v" [ 3 ] (kernel_list ws vw ~live 3 3);
+  Alcotest.(check (list int)) "u = v isolated" [ 5 ] (kernel_list ws vw ~live 5 5);
+  Alcotest.(check (list int)) "dominated" [ 0; 1; 2 ] (kernel_list ws vw ~live 0 2);
+  Alcotest.(check (list int)) "undominated hop" [] (kernel_list ws vw ~live 0 3);
+  Alcotest.(check (list int)) "isolated target" [] (kernel_list ws vw ~live 0 5);
+  check_bool "search result" false (Dominating.search ws vw ~live 2 4);
+  Alcotest.check_raises "path to an unreached target"
+    (Invalid_argument "Dominating.path: target not reached from source") (fun () ->
+      ignore (Dominating.path ws ~src:2 ~dst:4));
+  ignore (Dominating.search ws vw ~live 0 2);
+  Alcotest.check_raises "path from another source"
+    (Invalid_argument "Dominating.path: target not reached from source") (fun () ->
+      ignore (Dominating.path ws ~src:1 ~dst:2));
+  Alcotest.check_raises "vertex out of range"
+    (Invalid_argument "Dominating.search: vertex out of range") (fun () ->
+      ignore (Dominating.search ws vw ~live 0 6));
+  Alcotest.check_raises "short live array"
+    (Invalid_argument "Dominating.search: live array shorter than the view") (fun () ->
+      ignore (Dominating.search ws vw ~live:[| true |] 0 2))
+
+(* One workspace over a large graph, then a small one, then the large one
+   again: reads of the small graph must ignore the larger arrays' stale
+   marks, and the second large search must not see the small one's. *)
+let test_kernel_workspace_sizes () =
+  let big = (small_internet ~seed:5 ~scale:0.02 ()).Broker_topo.Topology.graph in
+  let small = path_graph 7 in
+  let ws = Dominating.workspace () in
+  let rng = X.create 9 in
+  let run g =
+    let live = random_live rng g ~prefix:0.5 ~down:0.2 in
+    let is_broker x = live.(x) in
+    let vw = View.of_graph g in
+    Array.for_all
+      (fun (u, v) ->
+        kernel_list ws vw ~live u v
+        = Oracle_dominated.find_dominated_path_view vw ~is_broker u v)
+      (oracle_pairs rng (G.n g))
+  in
+  check_bool "small first" true (run small);
+  check_bool "grown to large" true (run big);
+  check_bool "small after large" true (run small);
+  check_bool "large again" true (run big)
+
 (* ---------- Composition ---------- *)
 
 let test_composition_shares () =
@@ -440,6 +585,13 @@ let suite =
         Alcotest.test_case "find path" `Quick test_find_dominated_path;
         Alcotest.test_case "broker-only star" `Quick test_broker_only_star;
         Alcotest.test_case "broker-only partial" `Quick test_broker_only_partial;
+      ] );
+    ( "core.dominated_oracle",
+      [
+        oracle_static;
+        oracle_delta;
+        Alcotest.test_case "edge cases" `Quick test_kernel_edge_cases;
+        Alcotest.test_case "workspace across sizes" `Quick test_kernel_workspace_sizes;
       ] );
     ( "core.composition",
       [

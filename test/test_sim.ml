@@ -547,6 +547,49 @@ let test_sim_drop_without_alternate () =
   check_float_eps 1e-9 "downtime" 48.0 s.Sim.broker_downtime;
   check_float_eps 1e-9 "availability" (1.0 -. (48.0 /. 50.0)) s.Sim.availability
 
+(* Downtime accrues once per distinct broker, so listing a broker twice
+   must not halve its unavailability: one 27.4-unit outage spanning the
+   whole horizon is availability 0 either way. *)
+let test_sim_duplicate_brokers_availability () =
+  let topo = star_topo 4 in
+  let sessions = [| session ~id:0 ~src:1 ~dst:2 ~arrival:0.0 ~duration:1.0 |] in
+  let faults =
+    [|
+      fault ~time:0.0 ~broker:0 Faults.Crash;
+      fault ~time:27.4 ~broker:0 Faults.Recover;
+    |]
+  in
+  let run brokers =
+    Sim.run
+      ~chaos:{ zero_chaos with Sim.faults }
+      topo ~brokers ~sessions (Sim.uniform_capacity 5.0)
+  in
+  let once = run [| 0 |] and twice = run [| 0; 0 |] in
+  check_float_eps 1e-9 "downtime counted once" 27.4 twice.Sim.broker_downtime;
+  check_float_eps 1e-9 "availability" 0.0 once.Sim.availability;
+  check_float_eps 1e-9 "duplicate id" 0.0 twice.Sim.availability
+
+(* A fault for a vertex outside the graph is a typed caller error; an
+   in-range fault for a non-broker stays ignored. *)
+let test_sim_fault_broker_range () =
+  let topo = star_topo 4 in
+  let sessions = [| session ~id:0 ~src:1 ~dst:2 ~arrival:0.0 ~duration:5.0 |] in
+  let config = Sim.uniform_capacity 5.0 in
+  let run faults =
+    Sim.run ~chaos:{ zero_chaos with Sim.faults } topo ~brokers:[| 0 |] ~sessions config
+  in
+  List.iter
+    (fun broker ->
+      Alcotest.check_raises
+        (Printf.sprintf "fault broker %d" broker)
+        (Invalid_argument "Simulator.run: fault broker id out of range") (fun () ->
+          ignore (run [| fault ~time:1.0 ~broker Faults.Crash |])))
+    [ 4; 99; -1 ];
+  check_bool "non-broker fault ignored" true
+    (Sim.stats_equal
+       (run [| fault ~time:1.0 ~broker:2 Faults.Crash |])
+       (Sim.run topo ~brokers:[| 0 |] ~sessions config))
+
 let test_sim_retry_admits_after_backoff () =
   (* Capacity 1: the second session is blocked at t=1, retries at t=5
      (still blocked) and t=13 (admitted, the first left at t=10). *)
@@ -950,6 +993,9 @@ let suite =
           test_sim_retry_admits_after_backoff;
         Alcotest.test_case "breaker sheds" `Quick test_sim_breaker_sheds;
         Alcotest.test_case "deterministic" `Quick test_sim_chaos_deterministic;
+        Alcotest.test_case "duplicate brokers availability" `Quick
+          test_sim_duplicate_brokers_availability;
+        Alcotest.test_case "fault broker out of range" `Quick test_sim_fault_broker_range;
       ] );
     ( "sim.cache",
       [
