@@ -688,11 +688,19 @@ let run_timings ~json ~fullscale () =
   | Some path -> write_json ~path ~counters:(counter_snapshot ()) suites
   | None -> ()
 
+(* Minimum incremental-vs-rebuild speedup the perf gate accepts: half
+   the ratio measured once the tracker repaired depth rows in place
+   (3.15x-6.84x over three --perf-smoke runs on a 2-core VM, 4.10x
+   recorded in BENCH_kernels.json; the re-sweeping tracker measured
+   1.24x). *)
+let incremental_bound = 1.5
+
 (* CI perf gate: time the connectivity kernel trio and the dynamic
    re-convergence pair at small scale and fail unless (a) the projected
    engine beats the legacy path, (b) the bit-parallel MS-BFS engine beats
    the scalar projected one, and (c) the incremental tracker beats a full
-   compact-and-re-evaluate rebuild for a small (~1% of edges) burst. *)
+   compact-and-re-evaluate rebuild for a small (~1% of edges) burst by
+   at least [incremental_bound]. *)
 let perf_smoke ~json () =
   let ctx = E.Ctx.create ~scale:0.02 ~sources:32 ~seed:11 () in
   let stats =
@@ -726,15 +734,15 @@ let perf_smoke ~json () =
       prerr_endline "perf-smoke FAIL: msbfs connectivity kernel missing";
       exit 1);
   match reconverge_speedup stats with
-  | Some s when s > 1.0 ->
+  | Some s when s > incremental_bound ->
       Printf.printf
         "perf-smoke OK: incremental re-convergence is %.2fx faster than rebuild\n"
         s
   | Some s ->
       Printf.printf
-        "perf-smoke FAIL: incremental re-convergence is not faster than \
-         rebuild (%.2fx)\n"
-        s;
+        "perf-smoke FAIL: incremental re-convergence is not %.2fx faster \
+         than rebuild (%.2fx)\n"
+        incremental_bound s;
       exit 1
   | None ->
       prerr_endline "perf-smoke FAIL: reconverge kernels missing";

@@ -4,12 +4,22 @@
     topology for a fixed broker set and source sample. Updates are
     applied as announce/withdraw operations; only the dominated subset
     (a broker endpoint) enters the projected overlay the evaluators
-    sweep, and after each burst the tracker re-runs MS-BFS only for the
-    source batches whose reachable set can have changed: a source is
-    *affected* when it reaches an endpoint of a changed edge in the old
-    or the new edge set (an undirected distance can only change when its
-    shortest path crosses a changed edge). Unaffected batches keep
-    their cached integer tallies.
+    sweep.
+
+    Beside every source batch's integer tallies, the tracker keeps each
+    source's exact BFS depths on the projected graph: one byte per
+    (source, vertex) pair, so [n * Array.length sources] bytes (about
+    10 MB for 192 sources on the 52k-node topology). {!create} records
+    them during its MS-BFS sweep. {!apply} repairs them in place as a
+    dynamic unit-weight BFS, one source at a time: withdrawn edges
+    first (a vertex is affected when it loses every neighbour one level
+    up that is itself unaffected; affected vertices are re-seated from
+    the rest), then announced edges (decrease-only propagation from
+    their endpoints). Every depth that changes moves one count in its
+    batch's tallies, so a burst costs the (source, vertex) distances it
+    changes rather than a re-sweep. A batch whose BFS would go deeper
+    than {!Broker_graph.Msbfs.max_recorded_depth} hops cannot be held
+    in byte rows; it falls back to an MS-BFS re-sweep.
 
     Equivalence guarantee: {!curve} is bitwise identical to running
     {!Connectivity.eval_sources} from scratch on the compacted updated
@@ -17,8 +27,8 @@
     paths produce the same per-batch integer counts and share
     {!Connectivity.curve_of_counts} — for any [REPRO_DOMAINS].
 
-    Single-writer: {!apply} is not domain-safe (re-sweeps parallelize
-    internally over read-only snapshots). *)
+    Single-writer: {!apply} is not domain-safe (fallback re-sweeps
+    parallelize internally over read-only snapshots). *)
 
 type t
 
@@ -30,8 +40,10 @@ type stats = {
   applied : int;  (** ops that changed the dominated edge set *)
   noops : int;  (** dominated ops that were already satisfied *)
   ignored : int;  (** ops with no broker endpoint (outside the projection) *)
-  sources_affected : int;  (** sources whose reachable set may have changed *)
-  batches_reevaluated : int;
+  sources_affected : int;
+      (** sources whose depth row changed; every source of a re-swept
+          batch counts *)
+  batches_reevaluated : int;  (** batches re-swept because they run too deep *)
   batches_total : int;
 }
 
@@ -41,13 +53,15 @@ val create :
   is_broker:(int -> bool) ->
   sources:int array ->
   t
-(** Project the base graph, cache every batch's tallies (full initial
-    evaluation). [l_max] defaults to 10 as in
-    {!Connectivity.eval_sources}. The source array is copied. *)
+(** Project the base graph, then record every source's depth row and
+    every batch's tallies in one MS-BFS evaluation. [l_max] defaults to
+    10 as in {!Connectivity.eval_sources}. The source array is copied. *)
 
 val apply : t -> op array -> stats
-(** Apply an update burst and re-sweep the affected batches. Returns the
-    burst's statistics (also readable via {!last_stats}).
+(** Apply an update burst and repair the depth rows and tallies. Ops
+    take effect in order, and ops that cancel within the burst (an
+    announce and a withdraw of the same pair) cost no repair. Returns
+    the burst's statistics (also readable via {!last_stats}).
     @raise Invalid_argument when an endpoint is out of range. *)
 
 val curve : t -> Connectivity.curve
@@ -64,3 +78,8 @@ val l_max : t -> int
 
 val batches : t -> int
 (** Source batches tracked ([ceil (sources / Msbfs.lanes)]). *)
+
+val tallies : t -> (int array * int) array
+(** Per-batch integer counts behind {!curve}, copied: pairs first
+    reached at each depth [1 .. l_max] (index 0 unused), and pairs
+    reached at any depth [>= 1]. *)

@@ -282,8 +282,10 @@ let report ctx =
   Report.note s
     "One announce/withdraw burst through the incremental tracker per\n\
      (broker budget, burst size). Ignored ops touch no broker endpoint and\n\
-     never enter the dominated projection. Oracle: compact the delta and\n\
-     re-evaluate from scratch - curves must match bitwise.\n";
+     never enter the dominated projection. Affected src: sources whose BFS\n\
+     depths changed, repaired in place; Re-eval: batches re-swept because\n\
+     a depth passed 254 hops. Oracle: compact the delta and re-evaluate\n\
+     from scratch - curves must match bitwise.\n";
   let ct =
     Report.table s ~key:"reconverge"
       ~columns:

@@ -259,7 +259,8 @@ let materialize t =
     overlaid = true;
     (* Snapshot the flags: a view must stay a correct picture of the
        edge set it was built from even after the delta mutates on — the
-       incremental tracker diffs an old view against a new one. *)
+       incremental tracker repairs withdrawals on one view and
+       announcements on the next. *)
     dirty = Array.copy t.dirty;
     xoff;
     xadj;

@@ -90,6 +90,11 @@ let ensure ws n =
 let alpha = 14
 let beta = 24
 
+(* Depth rows hold one byte per vertex: depths up to 254, and 255 for
+   every vertex the lane did not reach at a recordable depth. *)
+let max_recorded_depth = 254
+let unreached = '\255'
+
 (* Observability (Broker_obs): all counters are commutative int sums over
    deterministically composed batches, so totals are REPRO_DOMAINS-
    independent and diffable, exactly like the bfs.* family. *)
@@ -112,8 +117,8 @@ let t_sweep_bu = Obs.Trace.scope "msbfs.sweep.bottom_up"
    counts come from one popcount per frontier word instead of any
    per-bit loop. Checked [@brokercheck.noalloc]: all loop scratch is
    hoisted refs, and per-arc work is pure int ops. *)
-let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) sources ~lo
-    ~len =
+let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) ?depths
+    sources ~lo ~len =
   let n = vw.View.n in
   if len < 1 || len > lanes then invalid_arg "Msbfs: batch size out of range";
   if lo < 0 || len > Array.length sources - lo then
@@ -123,6 +128,20 @@ let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) sources ~lo
     let s = Array.unsafe_get sources (lo + b) in
     if s < 0 || s >= n then invalid_arg "Msbfs: source out of range"
   done;
+  (match depths with
+  | None -> ()
+  | Some rows ->
+      if Array.length rows - lo < len then
+        invalid_arg "Msbfs: depth rows shorter than the batch";
+      for b = 0 to len - 1 do
+        if Bytes.length (Array.unsafe_get rows (lo + b)) < n then
+          invalid_arg "Msbfs: depth row shorter than the graph"
+      done;
+      for b = 0 to len - 1 do
+        let row = Array.unsafe_get rows (lo + b) in
+        Bytes.fill row 0 n unreached;
+        Bytes.unsafe_set row (Array.unsafe_get sources (lo + b)) '\000'
+      done);
   ensure ws n;
   ws.epoch <- ws.epoch + 1;
   ws.tick <- ws.tick + 1;
@@ -184,7 +203,7 @@ let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) sources ~lo
   (* Loop scratch, hoisted: the sweep body allocates nothing per level,
      per frontier word, or per arc. *)
   let next_n = ref 0 and next_scout = ref 0 and pc = ref 0 in
-  let probe = ref 0 and acc = ref 0 in
+  let probe = ref 0 and acc = ref 0 and bits = ref 0 in
   while !cur_n > 0 && !d < max_depth do
     if !bottom_up then begin
       if !cur_n * beta < n then bottom_up := false
@@ -313,6 +332,21 @@ let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) sources ~lo
       levels.(dn) <- !pc;
       ws.pairs <- ws.pairs + !pc
     end;
+    (* Depth recording: [nx] holds exactly this level's first-arrival
+       bits, so each one is written once, to its lane's row. *)
+    (match depths with
+    | Some rows when dn <= max_recorded_depth ->
+        let c = Char.unsafe_chr dn in
+        for i = 0 to !next_n - 1 do
+          let v = Array.unsafe_get nq i in
+          bits := Array.unsafe_get nx v;
+          while !bits <> 0 do
+            let b = Bitset.popcount ((!bits land - !bits) - 1) in
+            Bytes.unsafe_set (Array.unsafe_get rows (lo + b)) v c;
+            bits := !bits land (!bits - 1)
+          done
+        done
+    | _ -> ());
     (* Swap frontier and next (words, stamps, queues) for the next level. *)
     let tmpw = !front in
     front := !nxt;

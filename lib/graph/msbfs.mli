@@ -52,11 +52,27 @@ val run :
     range escapes [sources], or a source is outside [0 .. n-1]. *)
 
 val run_view :
-  workspace -> View.t -> ?max_depth:int -> int array -> lo:int -> len:int ->
-  unit
+  workspace -> View.t -> ?max_depth:int -> ?depths:Bytes.t array ->
+  int array -> lo:int -> len:int -> unit
 (** {!run} over a {!View.t} — the same sweeps reading through the
     base-or-overlay segment selector, so dynamic-topology callers
-    traverse a {!Delta} overlay without compacting it first. *)
+    traverse a {!Delta} overlay without compacting it first.
+
+    [depths], when given, also records every lane's BFS depths: row
+    [depths.(lo + b)] receives lane [b], one byte per vertex — the depth
+    at which the lane settled it when that is at most
+    {!max_recorded_depth}, {!unreached} otherwise (the source gets 0).
+    Vertices beyond {!max_recorded_depth} read as {!unreached}, so a
+    caller that needs exact rows checks [max_level ws <=
+    max_recorded_depth]. Without [depths] a level pays one test.
+    @raise Invalid_argument when a row of the batch is missing or
+    shorter than the graph. *)
+
+val max_recorded_depth : int
+(** 254: the deepest level a depth row can hold. *)
+
+val unreached : char
+(** ['\255']: the depth-row byte of a vertex with no recorded depth. *)
 
 val batch_lanes : workspace -> int
 (** Lanes of the last run ([len]). *)

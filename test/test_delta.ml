@@ -152,6 +152,45 @@ let incr_script_arb =
       int_range 0 24 >>= fun nops ->
       int_range 0 1_000_000 >|= fun seed -> (n, m, k, nops, seed))
 
+(* The ops of [ops] that change [d]'s edge set, applied to [d] and
+   returned inverted in reverse order: the burst that undoes them. *)
+let apply_recording_inverse d ops =
+  let undo = ref [] in
+  Array.iter
+    (fun op ->
+      match op with
+      | Incr.Add (u, v) ->
+          if Delta.add_edge d u v then undo := Incr.Remove (u, v) :: !undo
+      | Incr.Remove (u, v) ->
+          if Delta.remove_edge d u v then undo := Incr.Add (u, v) :: !undo)
+    ops;
+  Array.of_list !undo
+
+(* Run [bursts] through a tracker on [g]. After each burst the curve
+   must equal a from-scratch evaluation and the per-batch tallies those
+   of a fresh tracker on the compacted graph; after the burst's inverse
+   the tallies must be exactly the create-time ones. *)
+let replay_bursts g ~is_broker ~sources bursts =
+  let tracker = Incr.create g ~is_broker ~sources in
+  let base = Incr.tallies tracker in
+  let d = Delta.create g in
+  curves_equal (Incr.curve tracker) (Conn.eval_sources g ~is_broker sources)
+  && List.for_all
+       (fun ops ->
+         ignore (Incr.apply tracker ops);
+         let undo = apply_recording_inverse d ops in
+         let g' = Delta.compact g d in
+         let after =
+           curves_equal (Incr.curve tracker)
+             (Conn.eval_sources g' ~is_broker sources)
+           && Incr.tallies tracker
+              = Incr.tallies (Incr.create g' ~is_broker ~sources)
+         in
+         ignore (Incr.apply tracker undo);
+         ignore (apply_recording_inverse d undo);
+         after && Incr.tallies tracker = base)
+       bursts
+
 let incremental_matches_oracle_under ~domains =
   q ~count:40
     (Printf.sprintf "incremental = oracle (REPRO_DOMAINS=%s)" domains)
@@ -164,41 +203,89 @@ let incremental_matches_oracle_under ~domains =
           let is_broker = Conn.of_brokers ~n brokers in
           let nsrc = 1 + X.int rng 70 in
           let sources = Array.init nsrc (fun _ -> X.int rng n) in
-          let tracker = Incr.create g ~is_broker ~sources in
-          let d = Delta.create g in
-          (* Two bursts: the second starts from an already-dirty overlay. *)
+          (* 6-10 bursts, each undone before the next: the later ones
+             start from an already-dirty overlay. *)
           let burst () =
             Array.init (nops / 2) (fun _ ->
                 let u = X.int rng n and v = X.int rng n in
                 if X.int rng 2 = 0 then Incr.Add (u, v) else Incr.Remove (u, v))
           in
-          let check_burst ops =
-            ignore (Incr.apply tracker ops);
-            Array.iter
-              (fun op ->
-                ignore
-                  (match op with
-                  | Incr.Add (u, v) -> Delta.add_edge d u v
-                  | Incr.Remove (u, v) -> Delta.remove_edge d u v))
-              ops;
-            let g' = Delta.compact g d in
-            curves_equal (Incr.curve tracker)
-              (Conn.eval_sources g' ~is_broker sources)
+          let bursts = List.init (6 + X.int rng 5) (fun _ -> burst ()) in
+          replay_bursts g ~is_broker ~sources bursts))
+
+(* Long paths and cycles with a broker on every other vertex: the whole
+   graph survives the projection and BFS depths pass the 254 a depth
+   row holds, so batches start deep (path) or turn deep when a cut
+   opens the cycle, and fall back to re-sweeps. *)
+let deep_graph_arb =
+  QCheck.make
+    ~print:(fun (n, cycle, seed) ->
+      Printf.sprintf "<n=%d cycle=%b seed=%d>" n cycle seed)
+    QCheck.Gen.(
+      int_range 300 600 >>= fun n ->
+      bool >>= fun cycle ->
+      int_range 0 1_000_000 >|= fun seed -> (n, cycle, seed))
+
+let deep_fallback_matches_oracle_under ~domains =
+  q ~count:12
+    (Printf.sprintf "deep fallback = oracle (REPRO_DOMAINS=%s)" domains)
+    deep_graph_arb
+    (fun (n, cycle, seed) ->
+      with_domains domains (fun () ->
+          let rng = X.create seed in
+          let g = if cycle then cycle_graph n else path_graph n in
+          let is_broker v = v mod 2 = 0 in
+          let sources = Array.init (1 + X.int rng 100) (fun _ -> X.int rng n) in
+          (* Cuts of ring edges and chords of any length, a few per burst. *)
+          let op () =
+            let u = X.int rng n in
+            if X.int rng 2 = 0 then Incr.Remove (u, (u + 1) mod n)
+            else Incr.Add (u, X.int rng n)
           in
-          let initial =
-            curves_equal (Incr.curve tracker)
-              (Conn.eval_sources g ~is_broker sources)
+          let bursts =
+            List.init (2 + X.int rng 3) (fun _ ->
+                Array.init (1 + X.int rng 4) (fun _ -> op ()))
           in
-          initial && check_burst (burst ()) && check_burst (burst ())))
+          replay_bursts g ~is_broker ~sources bursts))
+
+let incr_deep_fallback () =
+  (* A 500-cycle is 250 hops deep from anywhere; one cut opens it into
+     a 499-hop path, too deep for a depth row. *)
+  let g = cycle_graph 500 in
+  let is_broker v = v mod 2 = 0 in
+  let sources = [| 0; 100; 250 |] in
+  let t = Incr.create g ~is_broker ~sources in
+  let s = Incr.apply t [| Incr.Remove (0, 1) |] in
+  check_int "batch re-swept" 1 s.Incr.batches_reevaluated;
+  check_int "its sources all affected" 3 s.Incr.sources_affected;
+  let g' = G.of_edges ~n:500 (Array.init 499 (fun i -> (i + 1, (i + 2) mod 500))) in
+  check_bool "curve = oracle" true
+    (curves_equal (Incr.curve t) (Conn.eval_sources g' ~is_broker sources));
+  (* Still deep: the next burst re-sweeps again, and closing the cycle
+     brings the batch back within a depth row. *)
+  let s = Incr.apply t [| Incr.Add (0, 1) |] in
+  check_int "deep batch re-swept" 1 s.Incr.batches_reevaluated;
+  let s = Incr.apply t [| Incr.Add (0, 250) |] in
+  check_int "repaired in place" 0 s.Incr.batches_reevaluated;
+  check_bool "repaired curve = oracle" true
+    (curves_equal (Incr.curve t)
+       (Conn.eval_sources
+          (G.of_edges ~n:500
+             (Array.append (Array.init 500 (fun i -> (i, (i + 1) mod 500)))
+                [| (0, 250) |]))
+          ~is_broker sources))
 
 let incr_stats_accounting () =
-  (* Hand-built scene: broker 0 in a 4-chain 0-1-2-3. *)
+  (* Hand-built scene: broker 0 in a 4-chain 0-1-2-3. Only (0,1) has a
+     broker endpoint, so the projection is that one edge. *)
   let g = G.of_edges ~n:4 [| (0, 1); (1, 2); (2, 3) |] in
   let is_broker v = v = 0 in
   let sources = [| 0; 1; 2; 3 |] in
   let t = Incr.create g ~is_broker ~sources in
   (* (2,3) has no broker endpoint: ignored. (0,1) exists: noop.
-     (0,3) is new and dominated: applied. *)
+     (0,3) is new and dominated: applied. It brings vertex 3 to depth 1
+     from source 0 and depth 2 from source 1, and vertices 0 and 1 to
+     depths 1 and 2 from source 3; source 2 stays isolated. *)
   let s =
     Incr.apply t [| Incr.Remove (2, 3); Incr.Add (0, 1); Incr.Add (0, 3) |]
   in
@@ -206,11 +293,30 @@ let incr_stats_accounting () =
   check_int "noops" 1 s.Incr.noops;
   check_int "ignored" 1 s.Incr.ignored;
   check_int "batches total" 1 s.Incr.batches_total;
-  check_int "batches reevaluated" 1 s.Incr.batches_reevaluated;
-  (* No dominated change -> no re-evaluation. *)
+  check_int "sources affected" 3 s.Incr.sources_affected;
+  check_int "repaired in place" 0 s.Incr.batches_reevaluated;
+  (* No dominated change -> nothing affected. *)
   let s2 = Incr.apply t [| Incr.Remove (1, 2) |] in
   check_int "ignored only" 1 s2.Incr.ignored;
+  check_int "nothing affected" 0 s2.Incr.sources_affected;
   check_int "no re-eval" 0 s2.Incr.batches_reevaluated
+
+let incr_cancelling_ops () =
+  let g = G.of_edges ~n:5 [| (0, 1); (1, 2); (2, 3); (3, 4) |] in
+  let is_broker v = v mod 2 = 0 in
+  let sources = [| 0; 2; 4 |] in
+  let t = Incr.create g ~is_broker ~sources in
+  let base = Incr.tallies t and base_curve = Incr.curve t in
+  let check_cancelled what ops =
+    let s = Incr.apply t ops in
+    check_int (what ^ ": both ops applied") 2 s.Incr.applied;
+    check_int (what ^ ": nothing affected") 0 s.Incr.sources_affected;
+    check_int (what ^ ": no re-eval") 0 s.Incr.batches_reevaluated;
+    check_bool (what ^ ": tallies kept") true (Incr.tallies t = base);
+    check_bool (what ^ ": curve kept") true (curves_equal (Incr.curve t) base_curve)
+  in
+  check_cancelled "announce then withdraw" [| Incr.Add (0, 4); Incr.Remove (4, 0) |];
+  check_cancelled "withdraw then announce" [| Incr.Remove (1, 2); Incr.Add (1, 2) |]
 
 (* ---------- update streams ---------- *)
 
@@ -372,6 +478,10 @@ let suite =
         incremental_matches_oracle_under ~domains:"1";
         incremental_matches_oracle_under ~domains:"4";
         Alcotest.test_case "stats accounting" `Quick incr_stats_accounting;
+        Alcotest.test_case "cancelling ops" `Quick incr_cancelling_ops;
+        deep_fallback_matches_oracle_under ~domains:"1";
+        deep_fallback_matches_oracle_under ~domains:"4";
+        Alcotest.test_case "deep fallback" `Quick incr_deep_fallback;
       ] );
     ( "delta.stream",
       [

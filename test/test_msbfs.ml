@@ -8,6 +8,7 @@ open Helpers
 module G = Broker_graph.Graph
 module Bfs = Broker_graph.Bfs
 module Msbfs = Broker_graph.Msbfs
+module View = Broker_graph.View
 module Conn = Broker_core.Connectivity
 
 let q ?(count = 60) name arb law =
@@ -52,7 +53,9 @@ let lanes_match_scalar =
       let rng = Broker_util.Xrandom.create (seed + 1) in
       let len = 1 + Broker_util.Xrandom.int rng (min Msbfs.lanes (4 * n)) in
       let sources = draw_sources rng ~n ~count:len in
-      Msbfs.run ws g sources ~lo:0 ~len;
+      (* Stale bytes in the rows must be overwritten by the run. *)
+      let depths = Array.init len (fun _ -> Bytes.make n '\007') in
+      Msbfs.run_view ws (View.of_graph g) ~depths sources ~lo:0 ~len;
       let dist = Array.make n 0 in
       let ok = ref (Msbfs.batch_lanes ws = len) in
       let max_level = ref 0 in
@@ -66,6 +69,8 @@ let lanes_match_scalar =
           (* bit b of v's settled word <-> lane b's scalar BFS reaches v *)
           let bit = Msbfs.settled_bits ws v land (1 lsl b) <> 0 in
           if bit <> (dist.(v) >= 0) then ok := false;
+          let byte = if dist.(v) >= 0 then Char.chr dist.(v) else Msbfs.unreached in
+          if Bytes.get depths.(b) v <> byte then ok := false;
           if dist.(v) >= 1 then begin
             incr reached;
             level.(dist.(v)) <- level.(dist.(v)) + 1
@@ -102,6 +107,21 @@ let max_depth_matches_bounded =
           done)
         [ 0; 1; 2 ];
       !ok)
+
+let depth_rows_stop_at_a_byte () =
+  (* A 300-path from vertex 0 settles depths 0 .. 299; rows hold 0 .. 254
+     and read unreached beyond, at offset [lo] of the row array. *)
+  let g = path_graph 300 in
+  let ws = Msbfs.workspace () in
+  let depths = Array.init 2 (fun _ -> Bytes.create 300) in
+  Msbfs.run_view ws (View.of_graph g) ~depths [| 7; 0 |] ~lo:1 ~len:1;
+  check_int "max level" 299 (Msbfs.max_level ws);
+  let ok = ref true in
+  for v = 0 to 299 do
+    let want = if v <= Msbfs.max_recorded_depth then Char.chr v else Msbfs.unreached in
+    if Bytes.get depths.(1) v <> want then ok := false
+  done;
+  check_bool "row of lane 0 at index lo" true !ok
 
 (* --- batched connectivity = reference oracle, bitwise ----------------- *)
 
@@ -222,6 +242,13 @@ let run_validates_arguments () =
   Alcotest.check_raises "source out of range"
     (Invalid_argument "Msbfs: source out of range") (fun () ->
       Msbfs.run ws g [| 0; 99 |] ~lo:0 ~len:2);
+  let vw = View.of_graph g in
+  Alcotest.check_raises "depth rows shorter than the batch"
+    (Invalid_argument "Msbfs: depth rows shorter than the batch") (fun () ->
+      Msbfs.run_view ws vw ~depths:[| Bytes.create 4 |] srcs ~lo:0 ~len:2);
+  Alcotest.check_raises "depth row shorter than the graph"
+    (Invalid_argument "Msbfs: depth row shorter than the graph") (fun () ->
+      Msbfs.run_view ws vw ~depths:[| Bytes.create 3 |] srcs ~lo:0 ~len:1);
   (* Validation happens before any mutation: the workspace still answers
      for the last good run. *)
   Msbfs.run ws g srcs ~lo:0 ~len:2;
@@ -242,6 +269,8 @@ let suite =
         Alcotest.test_case "word width" `Quick lanes_is_word_width;
         lanes_match_scalar;
         max_depth_matches_bounded;
+        Alcotest.test_case "depth rows stop at a byte" `Quick
+          depth_rows_stop_at_a_byte;
       ] );
     ( "msbfs.connectivity",
       [
