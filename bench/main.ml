@@ -9,7 +9,9 @@
      main.exe --perf-smoke    small-scale connectivity kernel trio only;
                               exits non-zero unless the projected engine
                               beats the legacy path AND the MS-BFS engine
-                              beats the scalar projected one
+                              beats the scalar projected one by
+                              msbfs_bound AND the incremental tracker
+                              beats a rebuild by incremental_bound
      main.exe --timings --fullscale
                               additionally hand-time the connectivity pair
                               at REPRO_SCALE (Table 1 / Fig 2a shape)
@@ -695,12 +697,19 @@ let run_timings ~json ~fullscale () =
    1.24x). *)
 let incremental_bound = 1.5
 
+(* Minimum MS-BFS-vs-scalar-projected speedup the perf gate accepts:
+   half the smallest ratio measured once the sweeps went stamp-free and
+   the projection single-pass (8.90x-9.40x over three --perf-smoke runs
+   on a 2-core VM, 9.02x recorded in BENCH_kernels.json; the stamped
+   engine measured 2.59x-2.76x against a bound of 1.0x). *)
+let msbfs_bound = 4.45
+
 (* CI perf gate: time the connectivity kernel trio and the dynamic
    re-convergence pair at small scale and fail unless (a) the projected
    engine beats the legacy path, (b) the bit-parallel MS-BFS engine beats
-   the scalar projected one, and (c) the incremental tracker beats a full
-   compact-and-re-evaluate rebuild for a small (~1% of edges) burst by
-   at least [incremental_bound]. *)
+   the scalar projected one by at least [msbfs_bound], and (c) the
+   incremental tracker beats a full compact-and-re-evaluate rebuild for
+   a small (~1% of edges) burst by at least [incremental_bound]. *)
 let perf_smoke ~json () =
   let ctx = E.Ctx.create ~scale:0.02 ~sources:32 ~seed:11 () in
   let stats =
@@ -723,12 +732,14 @@ let perf_smoke ~json () =
       prerr_endline "perf-smoke FAIL: connectivity kernels missing";
       exit 1);
   (match msbfs_speedup stats with
-  | Some s when s > 1.0 ->
+  | Some s when s > msbfs_bound ->
       Printf.printf "perf-smoke OK: msbfs engine is %.2fx faster than projected\n"
         s
   | Some s ->
       Printf.printf
-        "perf-smoke FAIL: msbfs engine is not faster than projected (%.2fx)\n" s;
+        "perf-smoke FAIL: msbfs engine is not %.2fx faster than projected \
+         (%.2fx)\n"
+        msbfs_bound s;
       exit 1
   | None ->
       prerr_endline "perf-smoke FAIL: msbfs connectivity kernel missing";

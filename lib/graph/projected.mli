@@ -17,10 +17,33 @@
 
 type t
 
+type scratch
+(** Reusable output buffers for {!project_into}: offsets, adjacency and a
+    membership byte per vertex, grown on demand (adjacency to the viewed
+    graph's arc count) and never shrunk. Not thread-safe: one domain at a
+    time may project into a scratch. *)
+
+val scratch : unit -> scratch
+(** An empty scratch; the first {!project_into} sizes it. *)
+
+val project_into : scratch -> View.t -> is_broker:(int -> bool) -> View.t
+(** [project_into s vw ~is_broker] evaluates [is_broker] once per vertex
+    and writes exactly the edges with a broker endpoint into [s], in one
+    pass over [vw]'s adjacency, returning a base view of the result. The
+    view borrows [s]'s buffers: it stays valid until the next projection
+    into [s]. Sorted/deduplicated/symmetric CSR invariants are inherited
+    from [vw], not recomputed. A steady-state call allocates only the
+    view record. *)
+
+val local : unit -> scratch
+(** The calling domain's scratch, shared by {!project} and
+    {!project_view}: a view {!project_into} returned for it is valid
+    until the next projection of any kind on the same domain. *)
+
 val project : Graph.t -> is_broker:(int -> bool) -> t
-(** [project g ~is_broker] evaluates [is_broker] once per vertex and keeps
-    exactly the edges with a broker endpoint. Sorted/deduplicated/symmetric
-    CSR invariants are inherited from [g], not recomputed. *)
+(** [project g ~is_broker]: {!project_into} the calling domain's
+    scratch, then copied into an exact-length CSR the result owns — for
+    callers that keep the projected graph. *)
 
 val project_view : View.t -> is_broker:(int -> bool) -> t
 (** {!project} over a {!View.t}: projects a {!Delta} overlay directly,

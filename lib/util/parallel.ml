@@ -42,6 +42,24 @@ let domain_count () =
       | Some _ | None -> 1)
   | None -> min 8 (Domain.recommended_domain_count ())
 
+(* Fan out [k] workers: [work 1 .. work (k-1)] on spawned domains and
+   [work 0] on the calling domain, which would otherwise sit idle in
+   [Domain.join] — one spawn and join fewer per fan-out. Results merge in
+   worker order, so the fold is deterministic. If the calling domain's
+   worker raises, the spawned ones are still joined before re-raising. *)
+let fan_out ~k ~work ~merge init =
+  let handles =
+    List.init (k - 1) (fun i ->
+        Domain.spawn (fun () -> instrumented (fun () -> work (i + 1))))
+  in
+  match instrumented (fun () -> work 0) with
+  | first ->
+      List.fold_left (fun acc h -> merge acc (Domain.join h)) (merge init first)
+        handles
+  | exception e ->
+      List.iter (fun h -> try ignore (Domain.join h) with _ -> ()) handles;
+      raise e
+
 let chunked ?domains ~n ~worker ~merge init =
   let domains =
     match domains with Some d -> max 1 d | None -> domain_count ()
@@ -53,14 +71,9 @@ let chunked ?domains ~n ~worker ~merge init =
   else begin
     let k = min domains n in
     let chunk = (n + k - 1) / k in
-    let handles =
-      List.init k (fun i ->
-          let lo = i * chunk in
-          let hi = min n (lo + chunk) in
-          Domain.spawn (fun () -> instrumented (fun () -> worker ~lo ~hi)))
-    in
-    (* Join in chunk order: the fold is deterministic. *)
-    List.fold_left (fun acc h -> merge acc (Domain.join h)) init handles
+    fan_out ~k ~merge init ~work:(fun i ->
+        let lo = i * chunk in
+        worker ~lo ~hi:(min n (lo + chunk)))
   end
 
 let strided ?domains ~n ~worker ~merge init =
@@ -73,13 +86,9 @@ let strided ?domains ~n ~worker ~merge init =
     merge init (instrumented (fun () -> worker ~start:0 ~step:1))
   else begin
     let k = min domains n in
-    let handles =
-      List.init k (fun i ->
-          Domain.spawn (fun () -> instrumented (fun () -> worker ~start:i ~step:k)))
-    in
-    (* Join in stride order: the fold order is fixed, so determinism only
-       needs the merge to be insensitive to how items were partitioned. *)
-    List.fold_left (fun acc h -> merge acc (Domain.join h)) init handles
+    (* Stride order is fixed, so determinism only needs the merge to be
+       insensitive to how items were partitioned. *)
+    fan_out ~k ~merge init ~work:(fun i -> worker ~start:i ~step:k)
   end
 
 let map_array ?domains f arr =

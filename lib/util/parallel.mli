@@ -22,8 +22,11 @@ val chunked :
 (** [chunked ~n ~worker ~merge init] partitions [0..n-1] into [domains]
     contiguous chunks, runs [worker ~lo ~hi] on each (half-open ranges) in
     parallel, and folds the results with [merge] in chunk order starting
-    from [init]. [worker] must not mutate shared state. Runs sequentially
-    when [n] is small or only one domain is available. *)
+    from [init]. Chunk 0 runs on the calling domain and the others on
+    [domains - 1] spawned domains, so a caller must not hold a
+    [Domain.DLS] value across the call that a worker also takes.
+    [worker] must not mutate shared state. Runs sequentially when [n] is
+    small or only one domain is available. *)
 
 val strided :
   ?domains:int ->
@@ -33,9 +36,9 @@ val strided :
   'acc ->
   'acc
 (** [strided ~n ~worker ~merge init] is {!chunked} with interleaved
-    assignment: domain [i] of [k] processes items [i, i+k, i+2k, ...] (the
+    assignment: worker [i] of [k] processes items [i, i+k, i+2k, ...] (the
     sequential fallback is [worker ~start:0 ~step:1]), and results merge in
-    stride order. Use it when per-item cost is very uneven — e.g. BFS
+    stride order. Stride 0 runs on the calling domain, as in {!chunked}. Use it when per-item cost is very uneven — e.g. BFS
     sources whose traversal size varies by orders of magnitude, where
     contiguous chunks can leave most domains idle behind one hot chunk.
 

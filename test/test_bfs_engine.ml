@@ -70,6 +70,76 @@ let projection_matches_predicate =
       G.iter_edges pg (fun u v -> if not (G.mem_edge g u v) then ok := false);
       !ok)
 
+(* --- single-pass scratch kernel vs the two-pass oracle --------------- *)
+
+module View = Broker_graph.View
+module Delta = Broker_graph.Delta
+
+(* A graph, a seed for overlay edits and broker sets; n up to 60 so that
+   one reused scratch sees graphs grow and shrink between cases. *)
+let overlay_arb =
+  QCheck.make
+    ~print:(fun (g, seed) ->
+      Printf.sprintf "<graph n=%d m=%d seed=%d>" (G.n g) (G.m g) seed)
+    QCheck.Gen.(
+      int_range 2 60 >>= fun n ->
+      int_range 0 150 >>= fun m ->
+      int_range 0 1_000_000 >|= fun seed ->
+      (random_graph (Broker_util.Xrandom.create seed) ~n ~m, seed))
+
+(* Every offset, every kept arc and every membership bit, against the
+   oracle's exact-length arrays. *)
+let same_projection pv (o : Oracle_projected.t) ~is_broker =
+  let n = pv.View.n in
+  let og = o.Oracle_projected.graph in
+  let ooff = G.csr_off og and oadj = G.csr_adj og in
+  n = G.n og
+  && pv.View.arcs = Array.length oadj
+  && Array.sub pv.View.off 0 (n + 1) = ooff
+  && Array.sub pv.View.adj 0 pv.View.arcs = oadj
+  && List.for_all
+       (fun v -> is_broker v = Broker_util.Bitset.mem o.Oracle_projected.brokers v)
+       (List.init n Fun.id)
+
+let scratch_matches_two_pass =
+  (* One scratch reused across every case, broker set and view. *)
+  let s = Projected.scratch () in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |])
+    (QCheck.Test.make ~count:80 ~name:"scratch projection = two-pass oracle"
+       overlay_arb (fun (g, seed) ->
+         let n = G.n g in
+         let rng = Broker_util.Xrandom.create (seed + 1) in
+         let d = Delta.create g in
+         for _ = 1 to Broker_util.Xrandom.int rng 12 do
+           let u = Broker_util.Xrandom.int rng n
+           and v = Broker_util.Xrandom.int rng n in
+           if u <> v then
+             if Broker_util.Xrandom.int rng 2 = 0 then ignore (Delta.add_edge d u v)
+             else ignore (Delta.remove_edge d u v)
+         done;
+         let broker_sets =
+           [ [||]; Array.init n Fun.id ]
+           @ List.init 3 (fun _ ->
+                 Array.init (Broker_util.Xrandom.int rng (n + 1)) (fun _ ->
+                     Broker_util.Xrandom.int rng n))
+         in
+         List.for_all
+           (fun vw ->
+             List.for_all
+               (fun brokers ->
+                 let is_broker = Conn.of_brokers ~n brokers in
+                 let oracle = Oracle_projected.project_view vw ~is_broker in
+                 let pv = Projected.project_into s vw ~is_broker in
+                 let kept = Projected.project_view vw ~is_broker in
+                 same_projection pv oracle ~is_broker
+                 && G.equal (Projected.graph kept) oracle.Oracle_projected.graph
+                 && Projected.broker_count kept = oracle.Oracle_projected.broker_count
+                 && List.for_all
+                      (fun v -> Projected.is_broker kept v = is_broker v)
+                      (List.init n Fun.id))
+               broker_sets)
+           [ View.of_graph g; Delta.view d ]))
+
 (* --- workspace BFS vs the generic filtered oracle -------------------- *)
 
 let engine_matches_filtered =
@@ -253,6 +323,7 @@ let suite =
         Alcotest.test_case "barbell projection" `Quick projection_barbell;
         Alcotest.test_case "empty/full broker sets" `Quick projection_empty_and_full;
         projection_matches_predicate;
+        scratch_matches_two_pass;
       ] );
     ( "bfs_engine.workspace",
       [
