@@ -11,13 +11,16 @@
     (source, vertex) pair, so [n * Array.length sources] bytes (about
     10 MB for 192 sources on the 52k-node topology). {!create} records
     them during its MS-BFS sweep. {!apply} repairs them in place as a
-    dynamic unit-weight BFS, one source at a time: withdrawn edges
-    first (a vertex is affected when it loses every neighbour one level
-    up that is itself unaffected; affected vertices are re-seated from
-    the rest), then announced edges (decrease-only propagation from
-    their endpoints). Every depth that changes moves one count in its
-    batch's tallies, so a burst costs the (source, vertex) distances it
-    changes rather than a re-sweep. A batch whose BFS would go deeper
+    dynamic unit-weight BFS, one source at a time, on a single view of
+    the new edge set: withdrawn edges first (read with the burst's
+    announced arcs skipped; a vertex is affected when it loses every
+    neighbour one level up that is itself unaffected; affected vertices
+    are re-seated from the rest), then announced edges (decrease-only
+    propagation from their endpoints). Every depth that changes moves
+    one count in its batch's tallies, so a burst costs the (source,
+    vertex) distances it changes rather than a re-sweep. A source whose
+    repair scans more than about half of the projected graph is
+    recomputed by one BFS instead. A batch whose BFS would go deeper
     than {!Broker_graph.Msbfs.max_recorded_depth} hops cannot be held
     in byte rows; it falls back to an MS-BFS re-sweep.
 

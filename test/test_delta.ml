@@ -16,6 +16,7 @@ module Sim = Broker_sim.Simulator
 module Stream = Broker_sim.Topo_stream
 module Cache = Broker_sim.Shard_cache
 module Workload = Broker_sim.Workload
+module Obs = Broker_obs
 
 let q ?(count = 80) name arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
@@ -247,6 +248,61 @@ let deep_fallback_matches_oracle_under ~domains =
                 Array.init (1 + X.int rng 4) (fun _ -> op ()))
           in
           replay_bursts g ~is_broker ~sources bursts))
+
+(* Bursts that withdraw edges of the graph and announce new ones side
+   by side: the removal phase must see the old edges minus the
+   withdrawn ones, so it has to skip the arcs the same burst announced. *)
+let mixed_bursts_match_oracle =
+  q ~count:60 "mixed bursts = oracle" incr_script_arb
+    (fun (n, m, k, nops, seed) ->
+      let rng = X.create seed in
+      let g = random_graph rng ~n ~m:(3 * m) in
+      let is_broker = Conn.of_brokers ~n (Array.init (1 + k) (fun _ -> X.int rng n)) in
+      let sources = Array.init (1 + X.int rng 70) (fun _ -> X.int rng n) in
+      let off = G.csr_off g and adj = G.csr_adj g in
+      let op () =
+        let u = X.int rng n in
+        let deg = off.(u + 1) - off.(u) in
+        if deg > 0 && X.int rng 2 = 0 then Incr.Remove (u, adj.(off.(u) + X.int rng deg))
+        else Incr.Add (u, X.int rng n)
+      in
+      let bursts = List.init 6 (fun _ -> Array.init nops (fun _ -> op ())) in
+      replay_bursts g ~is_broker ~sources bursts)
+
+let relabelled_lanes () =
+  match Obs.Metrics.find (Obs.Metrics.snapshot ()) "incr.lanes.relabelled" with
+  | Some { Obs.Metrics.value = Obs.Metrics.Counter c; _ } -> c
+  | Some _ | None -> Alcotest.fail "incr.lanes.relabelled not registered"
+
+let incr_relabel_fallback () =
+  (* Source 0 hangs off broker 1, the hub of a 40-vertex wheel. Cutting
+     (0, 1) strands the whole wheel, and putting it back lowers all of
+     it again: both repairs outgrow a BFS of the lane and relabel it. *)
+  let n = 42 in
+  let rim = Array.init 40 (fun i -> (i + 2, ((i + 1) mod 40) + 2)) in
+  let spokes = Array.init 40 (fun i -> (1, i + 2)) in
+  let g = G.of_edges ~n (Array.concat [ [| (0, 1) |]; rim; spokes ]) in
+  let is_broker v = v = 1 || v mod 2 = 0 in
+  let sources = [| 0; 5; 17 |] in
+  let was = Obs.Control.enabled () in
+  Obs.Control.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Control.set_enabled was) @@ fun () ->
+  let t = Incr.create g ~is_broker ~sources in
+  let base = Incr.tallies t in
+  let before = relabelled_lanes () in
+  let s = Incr.apply t [| Incr.Remove (0, 1) |] in
+  check_int "no re-sweep" 0 s.Incr.batches_reevaluated;
+  check_int "cut lane relabelled" (before + 1) (relabelled_lanes ());
+  let cut = Delta.create g in
+  ignore (Delta.remove_edge cut 0 1);
+  let g' = Delta.compact g cut in
+  check_bool "cut curve = oracle" true
+    (curves_equal (Incr.curve t) (Conn.eval_sources g' ~is_broker sources));
+  check_bool "cut tallies = fresh" true
+    (Incr.tallies t = Incr.tallies (Incr.create g' ~is_broker ~sources));
+  ignore (Incr.apply t [| Incr.Add (0, 1) |]);
+  check_int "restored lane relabelled" (before + 2) (relabelled_lanes ());
+  check_bool "restored tallies = create-time" true (Incr.tallies t = base)
 
 let incr_deep_fallback () =
   (* A 500-cycle is 250 hops deep from anywhere; one cut opens it into
@@ -482,6 +538,8 @@ let suite =
         deep_fallback_matches_oracle_under ~domains:"1";
         deep_fallback_matches_oracle_under ~domains:"4";
         Alcotest.test_case "deep fallback" `Quick incr_deep_fallback;
+        mixed_bursts_match_oracle;
+        Alcotest.test_case "relabel fallback" `Quick incr_relabel_fallback;
       ] );
     ( "delta.stream",
       [
