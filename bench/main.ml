@@ -158,8 +158,7 @@ let dynamic_pair ctx =
 
 (* Valley-free kernels (Fig. 5b/5c): one Directional traversal from a
    pinned source on the saturated MaxSG set with 30% of broker–broker
-   edges upgraded, and one BGP destination. The relation labels are built
-   during setup, so the rows time the sweeps alone. *)
+   edges upgraded, and one BGP destination. *)
 let valley_free_pair ctx =
   let open Bechamel in
   let topo = E.Ctx.topo ctx in
@@ -172,7 +171,6 @@ let valley_free_pair ctx =
   in
   let source = (E.Ctx.directional_sources ctx).(0) in
   let dest = (Broker_topo.Topology.ases topo).(0) in
-  ignore (Broker_topo.Topology.arc_relations topo);
   [
     Test.make ~name:"valley_free"
       (Staged.stage (fun () ->

@@ -124,7 +124,7 @@ let kernel topo ~is_broker ~upgrades =
     topo;
     is_broker;
     upgrades;
-    labels = T.arc_relations topo;
+    labels = topo.T.arc_relations;
     dist2 = Array.make (2 * n) (-1);
     queue = Array.make (2 * n) 0;
   }

@@ -7,7 +7,8 @@ type route_class = Via_customer | Via_peer | Via_provider
 type route = { hops : int; via : route_class }
 
 (* All three passes read the topology as CSR arrays plus one relation
-   label per arc (Topology.arc_relations): no relation lookup per arc. *)
+   label per arc (the topology's arc_relations): no relation lookup per
+   arc. *)
 
 (* Customer routes: BFS from d along customer→provider arcs (a provider
    inherits a customer route from each customer it serves). [dist] is all
@@ -146,7 +147,7 @@ let routes_to topo d =
   let g = topo.T.graph in
   let n = G.n g in
   let off = G.csr_off g and adj = G.csr_adj g in
-  let labels = T.arc_relations topo in
+  let labels = topo.T.arc_relations in
   let dist_c = Array.make n (-1) in
   customer_pass ~off ~adj ~labels dist_c (Array.make n 0) d;
   let dist_p = peer_pass ~off ~adj ~labels ~kinds:topo.T.kinds dist_c in

@@ -1,6 +1,6 @@
 module G = Broker_graph.Graph
 module T = Broker_topo.Topology
-module Rel = Broker_topo.Node_meta.Relations
+module Nm = Broker_topo.Node_meta
 
 type t = { tbl : (int * int, float) Hashtbl.t }
 
@@ -9,13 +9,12 @@ let key u v = if u < v then (u, v) else (v, u)
 let assign ~rng topo =
   let g = topo.T.graph in
   let tbl = Hashtbl.create (2 * G.m g) in
-  G.iter_edges g (fun u v ->
+  T.iter_labelled_edges topo (fun u v l ->
       let base =
-        match Rel.find topo.T.relations u v with
-        | Some Broker_topo.Node_meta.Ixp_member -> 2.0
-        | Some Broker_topo.Node_meta.Peer -> 5.0
-        | Some Broker_topo.Node_meta.Customer_provider -> 10.0
-        | None -> 8.0
+        if l = Nm.arc_ixp then 2.0
+        else if l = Nm.arc_peer then 5.0
+        else if l = Nm.arc_up || l = Nm.arc_down then 10.0
+        else 8.0
       in
       let jitter = 0.5 +. Broker_util.Xrandom.float rng 1.0 in
       Hashtbl.replace tbl (key u v) (base *. jitter));

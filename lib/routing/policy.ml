@@ -18,12 +18,12 @@ let classify_arc topo labels arc u v =
 let classify topo u v =
   let arc = G.arc_index topo.T.graph u v in
   if arc < 0 then invalid_arg "Policy.classify: not an edge";
-  classify_arc topo (T.arc_relations topo) arc u v
+  classify_arc topo topo.T.arc_relations arc u v
 
 (* State machine: 0 = ascending, 1 = descending. The single permitted
    "peak" is a Flat hop or an AS→IXP→AS fabric crossing. *)
 let valley_free topo path =
-  let labels = T.arc_relations topo in
+  let labels = topo.T.arc_relations in
   let rec walk state = function
     | u :: (v :: _ as rest) ->
         let arc = G.arc_index topo.T.graph u v in

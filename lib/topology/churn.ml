@@ -5,23 +5,9 @@ let grow ~rng topo ~new_ases =
   if new_ases < 0 then invalid_arg "Churn.grow: negative growth";
   let old_n = Topology.n topo in
   let n = old_n + new_ases in
+  (* Old edges keep their ids and labels. *)
   let edges = ref [] in
-  let relations = Node_meta.Relations.create () in
-  (* One in-place sweep collects the old edges and copies their relations
-     onto the same ids — no materialized edge array. *)
-  G.iter_edges topo.Topology.graph (fun u v ->
-      edges := (u, v) :: !edges;
-      match Node_meta.Relations.find topo.Topology.relations u v with
-      | Some Node_meta.Customer_provider ->
-          if Node_meta.Relations.customer_of topo.Topology.relations u v then
-            Node_meta.Relations.add_c2p relations ~customer:u ~provider:v
-          else Node_meta.Relations.add_c2p relations ~customer:v ~provider:u
-      | Some Node_meta.Peer -> Node_meta.Relations.add_peer relations u v
-      | Some Node_meta.Ixp_member ->
-          if Topology.is_ixp topo v then
-            Node_meta.Relations.add_ixp_member relations ~as_node:u ~ixp:v
-          else Node_meta.Relations.add_ixp_member relations ~as_node:v ~ixp:u
-      | None -> ());
+  Topology.iter_labelled_edges topo (fun u v l -> edges := (u, v, l) :: !edges);
   (* Degree-weighted provider pool over the existing transit core. *)
   let core = ref [] in
   for v = 0 to old_n - 1 do
@@ -54,17 +40,11 @@ let grow ~rng topo ~new_ases =
       incr tries;
       Hashtbl.replace chosen pool.(R.int rng (Array.length pool)) ()
     done;
-    Hashtbl.iter
-      (fun p () ->
-        edges := (v, p) :: !edges;
-        Node_meta.Relations.add_c2p relations ~customer:v ~provider:p)
-      chosen;
+    Hashtbl.iter (fun p () -> edges := (v, p, Node_meta.arc_up) :: !edges) chosen;
     (* ~40% also join a random IXP, mirroring the base topology. *)
     if Array.length ixps > 0 && R.bernoulli rng 0.4 then begin
       let x = ixps.(R.int rng (Array.length ixps)) in
-      edges := (v, x) :: !edges;
-      Node_meta.Relations.add_ixp_member relations ~as_node:v ~ixp:x
+      edges := (v, x, Node_meta.arc_ixp) :: !edges
     end
   done;
-  let graph = G.of_edges ~n (Array.of_list !edges) in
-  { Topology.graph; kinds; tiers; names; relations }
+  Topology.make ~kinds ~tiers ~names ~n (Array.of_list !edges)

@@ -16,5 +16,5 @@ val grow :
   Topology.t
 (** Append [new_ases] stub ASes (ids [n .. n+new_ases-1]) multihoming into
     the existing transit/tier-1 core with degree-preferential provider
-    choice; a realistic share also joins IXPs. Relations are extended
-    accordingly. *)
+    choice; a realistic share also joins IXPs. Old edges keep their
+    labels; a new AS is the customer of each provider and an IXP member. *)

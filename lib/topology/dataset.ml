@@ -37,13 +37,23 @@ let kind_code = function
   | Node_meta.Ixp -> "ix"
 
 let kind_of_code = function
-  | "t1" -> Node_meta.Tier1
-  | "tr" -> Node_meta.Transit
-  | "ac" -> Node_meta.Access
-  | "co" -> Node_meta.Content
-  | "en" -> Node_meta.Enterprise
-  | "ix" -> Node_meta.Ixp
-  | s -> failwith (Printf.sprintf "Dataset.load: unknown kind %S" s)
+  | "t1" -> Some Node_meta.Tier1
+  | "tr" -> Some Node_meta.Transit
+  | "ac" -> Some Node_meta.Access
+  | "co" -> Some Node_meta.Content
+  | "en" -> Some Node_meta.Enterprise
+  | "ix" -> Some Node_meta.Ixp
+  | _ -> None
+
+(* Relation code of the arc u → v, for the edge line [e u v code]. *)
+let rel_codes =
+  [
+    (Node_meta.arc_up, "cp");
+    (Node_meta.arc_down, "pc");
+    (Node_meta.arc_peer, "pp");
+    (Node_meta.arc_ixp, "im");
+    (Node_meta.arc_none, "--");
+  ]
 
 let save ~path t =
   let oc = open_out path in
@@ -57,62 +67,73 @@ let save ~path t =
           (kind_code t.Topology.kinds.(v))
           t.Topology.tiers.(v) t.Topology.names.(v)
       done;
-      G.iter_edges t.Topology.graph (fun u v ->
-          let rel =
-            match Node_meta.Relations.find t.Topology.relations u v with
-            | Some Node_meta.Customer_provider ->
-                if Node_meta.Relations.customer_of t.Topology.relations u v
-                then "cp"
-                else "pc"
-            | Some Node_meta.Peer -> "pp"
-            | Some Node_meta.Ixp_member -> "im"
-            | None -> "--"
-          in
-          Printf.fprintf oc "e %d %d %s\n" u v rel))
+      Topology.iter_labelled_edges t (fun u v l ->
+          Printf.fprintf oc "e %d %d %s\n" u v (List.assoc l rel_codes)))
 
 let load ~path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let header = input_line ic in
+      let line_no = ref 0 in
+      let fail fmt =
+        Printf.ksprintf
+          (fun msg -> failwith (Printf.sprintf "Dataset.load: line %d: %s" !line_no msg))
+          fmt
+      in
+      let next_line () =
+        incr line_no;
+        input_line ic
+      in
+      let int_field what s =
+        match int_of_string_opt s with
+        | Some x -> x
+        | None -> fail "%s %S is not an integer" what s
+      in
+      let count what s =
+        let c = int_field what s in
+        if c < 0 then fail "negative %s %d" what c;
+        c
+      in
       let n, m =
-        match String.split_on_char ' ' header with
-        | [ "brokerset-topology"; "1"; n; m ] -> (int_of_string n, int_of_string m)
-        | _ -> failwith "Dataset.load: bad header"
+        match String.split_on_char ' ' (try next_line () with End_of_file -> "") with
+        | [ "brokerset-topology"; "1"; n; m ] -> (count "node count" n, count "edge count" m)
+        | _ -> fail "bad header"
+      in
+      let node what s =
+        let v = int_field what s in
+        if v < 0 || v >= n then fail "%s %d outside [0, %d)" what v n;
+        v
       in
       let kinds = Array.make n Node_meta.Enterprise in
       let tiers = Array.make n 3 in
       let names = Array.make n "" in
-      let relations = Node_meta.Relations.create () in
-      let edges = Array.make m (0, 0) in
+      let edges = Array.make m (0, 0, Node_meta.arc_none) in
       let n_edges = ref 0 in
       (try
          while true do
-           let line = input_line ic in
-           match String.split_on_char ' ' line with
+           match String.split_on_char ' ' (next_line ()) with
            | "n" :: v :: kind :: tier :: name_parts ->
-               let v = int_of_string v in
-               kinds.(v) <- kind_of_code kind;
-               tiers.(v) <- int_of_string tier;
+               let v = node "node id" v in
+               kinds.(v) <-
+                 (match kind_of_code kind with
+                 | Some k -> k
+                 | None -> fail "unknown kind %S" kind);
+               tiers.(v) <- int_field "tier" tier;
                names.(v) <- String.concat " " name_parts
            | [ "e"; u; v; rel ] ->
-               let u = int_of_string u and v = int_of_string v in
-               edges.(!n_edges) <- (u, v);
-               incr n_edges;
-               (match rel with
-               | "cp" -> Node_meta.Relations.add_c2p relations ~customer:u ~provider:v
-               | "pc" -> Node_meta.Relations.add_c2p relations ~customer:v ~provider:u
-               | "pp" -> Node_meta.Relations.add_peer relations u v
-               | "im" ->
-                   if Node_meta.kind_equal kinds.(v) Node_meta.Ixp then
-                     Node_meta.Relations.add_ixp_member relations ~as_node:u ~ixp:v
-                   else Node_meta.Relations.add_ixp_member relations ~as_node:v ~ixp:u
-               | "--" -> ()
-               | s -> failwith (Printf.sprintf "Dataset.load: unknown relation %S" s))
+               if !n_edges = m then fail "more edges than the header's %d" m;
+               let u = node "endpoint" u and v = node "endpoint" v in
+               if u = v then fail "self-loop on %d" u;
+               let label =
+                 match List.find_opt (fun (_, code) -> String.equal code rel) rel_codes with
+                 | Some (l, _) -> l
+                 | None -> fail "unknown relation %S" rel
+               in
+               edges.(!n_edges) <- (u, v, label);
+               incr n_edges
            | [] | [ "" ] -> ()
-           | _ -> failwith "Dataset.load: malformed line"
+           | _ -> fail "malformed line"
          done
        with End_of_file -> ());
-      let graph = G.of_edges ~n (Array.sub edges 0 !n_edges) in
-      { Topology.graph; kinds; tiers; names; relations })
+      Topology.make ~kinds ~tiers ~names ~n (Array.sub edges 0 !n_edges))

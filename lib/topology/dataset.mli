@@ -18,5 +18,9 @@ val save : path:string -> Topology.t -> unit
     [v kind tier name] and edge lines [u v rel]. *)
 
 val load : path:string -> Topology.t
-(** Inverse of [save].
-    @raise Failure on malformed input. *)
+(** Inverse of [save]. An edge given twice keeps its last labelled
+    relation.
+    @raise Failure ["Dataset.load: line N: ..."] on malformed input: a
+    bad header or negative count, an unknown kind or relation code, a
+    node id or edge endpoint outside [0, n), a self-loop, or more edge
+    lines than the header declares. *)

@@ -76,15 +76,15 @@ let generate params =
   let n_total = n_as + n_ixp in
   let kinds = Array.make n_total Node_meta.Enterprise in
   let tiers = Array.make n_total 3 in
-  let relations = Node_meta.Relations.create () in
   let edges = ref [] in
   let n_edges = ref 0 in
   let edge_seen = Hashtbl.create (4 * as_as_edge_target) in
-  let add_edge u v =
+  (* [label] is the relation of the arc u → v. *)
+  let add_edge u v label =
     let key = if u < v then (u, v) else (v, u) in
     if u <> v && not (Hashtbl.mem edge_seen key) then begin
       Hashtbl.replace edge_seen key ();
-      edges := (u, v) :: !edges;
+      edges := (u, v, label) :: !edges;
       incr n_edges;
       true
     end
@@ -115,8 +115,7 @@ let generate params =
   (* Tier-1 clique: settlement-free peering. *)
   for u = 0 to n_tier1 - 1 do
     for v = u + 1 to n_tier1 - 1 do
-      if add_edge u v then begin
-        Node_meta.Relations.add_peer relations u v;
+      if add_edge u v Node_meta.arc_peer then begin
         pool_push core_pool u;
         pool_push core_pool v
       end
@@ -134,8 +133,7 @@ let generate params =
     done;
     Hashtbl.iter
       (fun p () ->
-        if add_edge v p then begin
-          Node_meta.Relations.add_c2p relations ~customer:v ~provider:p;
+        if add_edge v p Node_meta.arc_up then begin
           pool_push core_pool v;
           pool_push core_pool p
         end)
@@ -162,8 +160,7 @@ let generate params =
     done;
     Hashtbl.iter
       (fun p () ->
-        if add_edge v p then begin
-          Node_meta.Relations.add_c2p relations ~customer:v ~provider:p;
+        if add_edge v p Node_meta.arc_up then begin
           pool_push core_pool p
           (* Stubs are not pushed: they never attract attachments. *)
         end)
@@ -174,7 +171,7 @@ let generate params =
      the real AS graph. *)
   let all_pool = pool_create (4 * as_as_edge_target) in
   List.iter
-    (fun (u, v) ->
+    (fun (u, v, _) ->
       pool_push all_pool u;
       pool_push all_pool v)
     !edges;
@@ -184,8 +181,7 @@ let generate params =
     incr guard;
     let u = pool_draw rng all_pool in
     let v = pool_draw rng all_pool in
-    if u <> v && add_edge u v then begin
-      Node_meta.Relations.add_peer relations u v;
+    if u <> v && add_edge u v Node_meta.arc_peer then begin
       pool_push all_pool u;
       pool_push all_pool v
     end
@@ -194,7 +190,7 @@ let generate params =
      membership slots are split across IXPs with heavy-tailed popularity. *)
   let as_degree = Array.make n_as 0 in
   List.iter
-    (fun (u, v) ->
+    (fun (u, v, _) ->
       as_degree.(u) <- as_degree.(u) + 1;
       as_degree.(v) <- as_degree.(v) + 1)
     !edges;
@@ -215,14 +211,7 @@ let generate params =
   let draw_ixp = Broker_util.Sampling.weighted_alias ixp_weights in
   (* Every connected AS gets one membership; the remaining budget goes to
      degree-weighted repeat memberships. *)
-  let add_membership v ixp_local =
-    let ixp = n_as + ixp_local in
-    if add_edge v ixp then begin
-      Node_meta.Relations.add_ixp_member relations ~as_node:v ~ixp;
-      true
-    end
-    else false
-  in
+  let add_membership v ixp_local = add_edge v (n_as + ixp_local) Node_meta.arc_ixp in
   Array.iter (fun v -> ignore (add_membership v (draw_ixp rng))) members;
   let member_pool = pool_create (4 * Array.length members) in
   Array.iter
@@ -255,8 +244,8 @@ let generate params =
             v
         else Printf.sprintf "IXP-%d" (v - n_as))
   in
-  let graph = G.of_edges ~n:n_total (Array.of_list !edges) in
+  let topo = Topology.make ~kinds ~tiers ~names ~n:n_total (Array.of_list !edges) in
   Log.info (fun m ->
       m "generated topology: %d ASes + %d IXPs, %d edges (seed %d)" n_as n_ixp
-        (G.m graph) seed);
-  { Topology.graph; kinds; tiers; names; relations }
+        (G.m topo.Topology.graph) seed);
+  topo

@@ -5,14 +5,45 @@ type t = {
   kinds : Node_meta.kind array;
   tiers : int array;
   names : string array;
-  relations : Node_meta.Relations.t;
+  arc_relations : Bytes.t;
 }
+
+let mirror l =
+  if l = Node_meta.arc_up then Node_meta.arc_down
+  else if l = Node_meta.arc_down then Node_meta.arc_up
+  else if l = Node_meta.arc_none || l = Node_meta.arc_peer || l = Node_meta.arc_ixp then l
+  else invalid_arg "Topology.make: unknown label"
+
+(* The one writer of arc labels. An unlabelled repeat of an edge leaves an
+   earlier label in place. *)
+let make ~kinds ~tiers ~names ~n edges =
+  if Array.length kinds <> n || Array.length tiers <> n || Array.length names <> n then
+    invalid_arg "Topology.make: metadata length";
+  let graph = G.of_edges ~n (Array.map (fun (u, v, _) -> (u, v)) edges) in
+  let arc_relations = Bytes.make (G.arcs graph) Node_meta.arc_none in
+  Array.iter
+    (fun (u, v, l) ->
+      if u = v then invalid_arg "Topology.make: self edge";
+      let back = mirror l in
+      if l <> Node_meta.arc_none then begin
+        Bytes.set arc_relations (G.arc_index graph u v) l;
+        Bytes.set arc_relations (G.arc_index graph v u) back
+      end)
+    edges;
+  { graph; kinds; tiers; names; arc_relations }
+
+let iter_labelled_edges t f =
+  let off = G.csr_off t.graph and adj = G.csr_adj t.graph in
+  for u = 0 to G.n t.graph - 1 do
+    for a = off.(u) to off.(u + 1) - 1 do
+      let v = adj.(a) in
+      if u < v then f u v (Bytes.get t.arc_relations a)
+    done
+  done
 
 let n t = G.n t.graph
 let is_ixp t v = Node_meta.kind_equal t.kinds.(v) Node_meta.Ixp
 let is_as t v = not (is_ixp t v)
-
-let arc_relations t = Node_meta.Relations.arc_labels t.relations t.graph
 
 let filter_nodes t pred =
   let out = ref [] in
@@ -42,27 +73,12 @@ let with_ases_only t =
   let remap = Array.make (n t) (-1) in
   Array.iteri (fun new_id old_id -> remap.(old_id) <- new_id) old_ids;
   let edges = ref [] in
-  G.iter_edges t.graph (fun u v ->
+  iter_labelled_edges t (fun u v l ->
       if remap.(u) >= 0 && remap.(v) >= 0 then
-        edges := (remap.(u), remap.(v)) :: !edges);
-  let graph = G.of_edges ~n:(Array.length old_ids) (Array.of_list !edges) in
-  let relations = Node_meta.Relations.create () in
-  G.iter_edges graph (fun u v ->
-      let ou = old_ids.(u) and ov = old_ids.(v) in
-      match Node_meta.Relations.find t.relations ou ov with
-      | Some Node_meta.Customer_provider ->
-          if Node_meta.Relations.customer_of t.relations ou ov then
-            Node_meta.Relations.add_c2p relations ~customer:u ~provider:v
-          else Node_meta.Relations.add_c2p relations ~customer:v ~provider:u
-      | Some Node_meta.Peer -> Node_meta.Relations.add_peer relations u v
-      | Some Node_meta.Ixp_member | None -> ());
-  ( {
-      graph;
-      kinds = Array.map (fun old_id -> t.kinds.(old_id)) old_ids;
-      tiers = Array.map (fun old_id -> t.tiers.(old_id)) old_ids;
-      names = Array.map (fun old_id -> t.names.(old_id)) old_ids;
-      relations;
-    },
+        edges := (remap.(u), remap.(v), l) :: !edges);
+  let pick a = Array.map (fun old_id -> a.(old_id)) old_ids in
+  ( make ~kinds:(pick t.kinds) ~tiers:(pick t.tiers) ~names:(pick t.names)
+      ~n:(Array.length old_ids) (Array.of_list !edges),
     old_ids )
 
 let tier1_members t =

@@ -1,26 +1,51 @@
 (** A labelled AS-level topology: the graph plus node kinds, tiers, display
     names and business relations. This is the composite structure the
-    experiments consume. *)
+    experiments consume.
 
-type t = {
+    The record is private: {!make} is the only constructor, so the labels
+    always match the graph they were written for. To change the graph,
+    build a new topology. *)
+
+type t = private {
   graph : Broker_graph.Graph.t;
   kinds : Node_meta.kind array;
   tiers : int array;
       (** 1 = tier-1, 2 = transit, 3 = stub levels, 0 = IXP *)
   names : string array;
-  relations : Node_meta.Relations.t;
+  arc_relations : Bytes.t;
+      (** The business relation of every directed arc of [graph], one
+          byte per arc ([Graph.arcs graph] bytes) indexed like
+          [Broker_graph.Graph.csr_adj]: {!Node_meta.arc_up} when the
+          arc's tail is the customer, and so on. Callers must not mutate
+          it. *)
 }
+
+val make :
+  kinds:Node_meta.kind array ->
+  tiers:int array ->
+  names:string array ->
+  n:int ->
+  (int * int * char) array ->
+  t
+(** [make ~kinds ~tiers ~names ~n edges] builds the graph on [n] vertices
+    from [edges] and writes its arc labels. An edge [(u, v, l)] carries
+    the label [l] of the arc [u → v]; the arc [v → u] gets the mirror
+    label ({!Node_meta.arc_up} ↔ {!Node_meta.arc_down}, the others
+    unchanged). When an edge is given more than once, the last label other
+    than {!Node_meta.arc_none} wins.
+    @raise Invalid_argument when a metadata array is not of length [n],
+    an edge is a self-loop, or a label is not one of the five
+    [Node_meta.arc_*] bytes; and as {!Broker_graph.Graph.of_edges} on an
+    endpoint outside [0..n-1]. *)
+
+val iter_labelled_edges : t -> (int -> int -> char -> unit) -> unit
+(** [iter_labelled_edges t f] calls [f u v l] on each undirected edge
+    once, with [u < v] and [l] the label of the arc [u → v], in
+    {!Broker_graph.Graph.iter_edges} order. *)
 
 val n : t -> int
 val is_ixp : t -> int -> bool
 val is_as : t -> int -> bool
-val arc_relations : t -> Bytes.t
-(** The business relation of every directed arc of [graph], one byte per
-    arc indexed like [Broker_graph.Graph.csr_adj] ([Node_meta.arc_up] when
-    the arc's tail is the customer, and so on). Built on first use and
-    memoised; mutating [relations] invalidates it. See
-    {!Node_meta.Relations.arc_labels}. *)
-
 val ixps : t -> int array
 val ases : t -> int array
 
@@ -33,8 +58,9 @@ val as_ixp_edges : t -> int
 (** Number of AS–IXP connections. *)
 
 val with_ases_only : t -> t * int array
-(** Restriction to AS nodes ("ASes without IXPs" in Table 3). Returns the
-    restricted topology and the mapping from new ids to old ids. *)
+(** Restriction to AS nodes ("ASes without IXPs" in Table 3), keeping
+    every AS–AS edge's label. Returns the restricted topology and the
+    mapping from new ids to old ids. *)
 
 val tier1_members : t -> int array
 

@@ -42,6 +42,24 @@ let small_internet ?(seed = 77) ?(scale = 0.01) () =
   Broker_topo.Internet.generate
     { (Broker_topo.Internet.scaled scale) with Broker_topo.Internet.seed }
 
+(* Relation label of the arc u -> v of a topology. *)
+let arc_label t u v =
+  Bytes.get t.Broker_topo.Topology.arc_relations (G.arc_index t.Broker_topo.Topology.graph u v)
+
+(* One label per arc, and the two arcs of every edge mirrored: up <-> down,
+   the other labels equal. *)
+let labels_mirrored t =
+  let module Nm = Broker_topo.Node_meta in
+  let module T = Broker_topo.Topology in
+  let ok = ref (Bytes.length t.T.arc_relations = G.arcs t.T.graph) in
+  T.iter_labelled_edges t (fun u v l ->
+      let back = arc_label t v u in
+      let expected =
+        if l = Nm.arc_up then Nm.arc_down else if l = Nm.arc_down then Nm.arc_up else l
+      in
+      if back <> expected then ok := false);
+  !ok
+
 (* qcheck arbitrary for small random graphs, shrinking-free. *)
 let graph_arbitrary =
   QCheck.make

@@ -1,12 +1,21 @@
 (* Test-only reference implementations of the valley-free BFS and the
-   three BGP route passes, kept as they were before both moved onto
-   per-arc relation labels: every arc resolves its relation through
-   [Relations] hash lookups. The differential tests in test_routing.ml
-   pin the label-based kernels to these, bit for bit. *)
+   three BGP route passes, kept as plain [Graph.iter_neighbors]
+   traversals: every arc resolves its relation through its own
+   [Graph.arc_index] search rather than the kernels' CSR position. The differential tests in
+   test_routing.ml pin the label-based kernels to these, bit for bit. *)
 
 module G = Broker_graph.Graph
 module T = Broker_topo.Topology
-module Rel = Broker_topo.Node_meta.Relations
+module Nm = Broker_topo.Node_meta
+
+(* Relation of the arc u -> v, read from u's side. *)
+let label topo u v = Bytes.get topo.T.arc_relations (G.arc_index topo.T.graph u v)
+let customer_of topo u v = label topo u v = Nm.arc_up
+let provider_of topo u v = label topo u v = Nm.arc_down
+
+let peers topo u v =
+  let l = label topo u v in
+  l = Nm.arc_peer || l = Nm.arc_ixp
 
 (* ---------- Directional ---------- *)
 
@@ -44,7 +53,6 @@ let upgrade_count = Hashtbl.length
 let bfs_valley_free topo ~is_broker ~upgrades src dist_out =
   let g = topo.T.graph in
   let n = G.n g in
-  let rel = topo.T.relations in
   let is_ixp v = T.is_ixp topo v in
   let dist = Array.make (2 * n) (-1) in
   let queue = Array.make (2 * n) 0 in
@@ -74,10 +82,10 @@ let bfs_valley_free topo ~is_broker ~upgrades src dist_out =
             (* Leaving the fabric consumes the peering transition. *)
             if s = 0 then push v 1 (d + 1)
           end
-          else if Rel.customer_of rel u v then begin
+          else if customer_of topo u v then begin
             if s = 0 then push v 0 (d + 1)
           end
-          else if Rel.provider_of rel u v then push v 1 (d + 1)
+          else if provider_of topo u v then push v 1 (d + 1)
           else if s = 0 then push v 1 (d + 1) (* peer or unknown *)
         end)
   done;
@@ -110,7 +118,7 @@ let customer_pass topo d =
     incr head;
     G.iter_neighbors g u (fun p ->
         (* u is a customer of p: p learns the route from its customer u. *)
-        if dist.(p) < 0 && Rel.customer_of topo.T.relations u p then begin
+        if dist.(p) < 0 && customer_of topo u p then begin
           dist.(p) <- dist.(u) + 1;
           queue.(!tail) <- p;
           incr tail
@@ -152,7 +160,7 @@ let peer_pass topo dist_c =
                 if d < max_int && d + 2 < !best then best := d + 2
             | None -> ()
           end
-          else if Rel.peers topo.T.relations v w && dist_c.(w) >= 0 then
+          else if peers topo v w && dist_c.(w) >= 0 then
             if dist_c.(w) + 1 < !best then best := dist_c.(w) + 1);
       if !best < max_int then dist.(v) <- !best
     end
@@ -187,7 +195,7 @@ let provider_pass topo dist_c dist_p =
           let d = int_of_float fd in
           (* The route propagates from provider u to its customers only. *)
           G.iter_neighbors g u (fun c ->
-              if (not settled.(c)) && Rel.provider_of topo.T.relations u c then begin
+              if (not settled.(c)) && provider_of topo u c then begin
                 let nd = d + 1 in
                 if dist.(c) < 0 || nd < dist.(c) then begin
                   dist.(c) <- nd;

@@ -124,7 +124,7 @@ let test_dataset_bad_header () =
       let oc = open_out path in
       output_string oc "not-a-topology\n";
       close_out oc;
-      Alcotest.check_raises "bad header" (Failure "Dataset.load: bad header")
+      Alcotest.check_raises "bad header" (Failure "Dataset.load: line 1: bad header")
         (fun () -> ignore (Broker_topo.Dataset.load ~path)))
 
 (* ---------- Connectivity.value_at clamping ---------- *)
@@ -151,15 +151,11 @@ let test_alpha_beta_disconnected () =
 let test_directional_unknown_relations_behave_as_peering () =
   (* No relations recorded: every edge is "unknown" = peering, so only
      2-hop (one peak) paths exist. *)
-  let graph = path_graph 4 in
   let topo =
-    {
-      Broker_topo.Topology.graph;
-      kinds = Array.make 4 Broker_topo.Node_meta.Transit;
-      tiers = Array.make 4 2;
-      names = Array.init 4 string_of_int;
-      relations = Broker_topo.Node_meta.Relations.create ();
-    }
+    Broker_topo.Topology.make
+      ~kinds:(Array.make 4 Broker_topo.Node_meta.Transit)
+      ~tiers:(Array.make 4 2) ~names:(Array.init 4 string_of_int) ~n:4
+      (Array.init 3 (fun i -> (i, i + 1, Broker_topo.Node_meta.arc_none)))
   in
   let sat =
     Broker_core.Directional.saturated_sampled

@@ -281,12 +281,11 @@ let test_churn_preserves_ids () =
          t.Broker_topo.Topology.kinds.(v)
          grown.Broker_topo.Topology.kinds.(v))
   done;
-  (* Old edges survive. *)
-  let old_edges = G.edges t.Broker_topo.Topology.graph in
-  Array.iter
-    (fun (u, v) ->
-      check_bool "edge kept" true (G.mem_edge grown.Broker_topo.Topology.graph u v))
-    old_edges
+  (* Old edges survive with their labels. *)
+  Broker_topo.Topology.iter_labelled_edges t (fun u v l ->
+      check_bool "edge kept" true (G.mem_edge grown.Broker_topo.Topology.graph u v);
+      check_bool "label kept" true (arc_label grown u v = l));
+  check_bool "mirrored" true (labels_mirrored grown)
 
 let test_churn_new_nodes_attached () =
   let t = small_internet ~seed:41 ~scale:0.01 () in
@@ -295,11 +294,13 @@ let test_churn_new_nodes_attached () =
   let g = grown.Broker_topo.Topology.graph in
   for v = n0 to n0 + 29 do
     check_bool "has providers" true (G.degree g v >= 1);
-    (* All new relations recorded. *)
+    (* All new relations recorded: a customer of each provider, a
+       member of each IXP. *)
     G.iter_neighbors g v (fun w ->
         check_bool "relation recorded" true
-          (Broker_topo.Node_meta.Relations.find grown.Broker_topo.Topology.relations v w
-          <> None))
+          (arc_label grown v w
+          = if Broker_topo.Topology.is_ixp grown w then Broker_topo.Node_meta.arc_ixp
+            else Broker_topo.Node_meta.arc_up))
   done
 
 let test_churn_zero_growth () =

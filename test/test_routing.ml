@@ -11,7 +11,6 @@ module Bgp = Broker_routing.Bgp
 module Directional = Broker_core.Directional
 module Conn = Broker_core.Connectivity
 module Oracle = Oracle_valley_free
-module Obs = Broker_obs
 
 (* Hand-built topology:
 
@@ -23,14 +22,22 @@ module Obs = Broker_obs
 
     plus IXP 9 with members 2 and 4 (peering fabric),
     plus a direct peering link 3 -- 4.                      *)
-let fixture () =
-  let edges =
-    [|
-      (0, 1); (0, 2); (0, 3); (1, 4); (2, 5); (3, 6); (4, 7); (4, 8); (2, 9);
-      (4, 9); (3, 4);
-    |]
-  in
-  let graph = G.of_edges ~n:10 edges in
+let fixture_edges =
+  [|
+    (0, 1, Nm.arc_peer);
+    (2, 0, Nm.arc_up);
+    (3, 0, Nm.arc_up);
+    (4, 1, Nm.arc_up);
+    (5, 2, Nm.arc_up);
+    (6, 3, Nm.arc_up);
+    (7, 4, Nm.arc_up);
+    (8, 4, Nm.arc_up);
+    (2, 9, Nm.arc_ixp);
+    (4, 9, Nm.arc_ixp);
+    (3, 4, Nm.arc_peer);
+  |]
+
+let fixture_of edges =
   let kinds =
     [|
       Nm.Tier1; Nm.Tier1; Nm.Transit; Nm.Transit; Nm.Transit; Nm.Enterprise;
@@ -39,28 +46,15 @@ let fixture () =
   in
   let tiers = [| 1; 1; 2; 2; 2; 3; 3; 3; 3; 0 |] in
   let names = Array.init 10 (fun i -> Printf.sprintf "N%d" i) in
-  let relations = Nm.Relations.create () in
-  Nm.Relations.add_peer relations 0 1;
-  Nm.Relations.add_c2p relations ~customer:2 ~provider:0;
-  Nm.Relations.add_c2p relations ~customer:3 ~provider:0;
-  Nm.Relations.add_c2p relations ~customer:4 ~provider:1;
-  Nm.Relations.add_c2p relations ~customer:5 ~provider:2;
-  Nm.Relations.add_c2p relations ~customer:6 ~provider:3;
-  Nm.Relations.add_c2p relations ~customer:7 ~provider:4;
-  Nm.Relations.add_c2p relations ~customer:8 ~provider:4;
-  Nm.Relations.add_ixp_member relations ~as_node:2 ~ixp:9;
-  Nm.Relations.add_ixp_member relations ~as_node:4 ~ixp:9;
-  Nm.Relations.add_peer relations 3 4;
-  { T.graph; kinds; tiers; names; relations }
+  T.make ~kinds ~tiers ~names ~n:10 edges
+
+let fixture () = fixture_of fixture_edges
 
 (* The fixture plus an AS–AS edge 6 -- 7 with no recorded relation, and
-   an AS–AS edge 5 -- 8 recorded as an IXP membership (a peering for
+   an AS–AS edge 5 -- 8 labelled as an IXP membership (a peering for
    every consumer). *)
 let fixture_with_unknown () =
-  let t = fixture () in
-  let graph = G.of_edges ~n:10 (Array.append (G.edges t.T.graph) [| (6, 7); (5, 8) |]) in
-  Nm.Relations.add_ixp_member t.T.relations ~as_node:5 ~ixp:8;
-  { t with T.graph }
+  fixture_of (Array.append fixture_edges [| (6, 7, Nm.arc_none); (5, 8, Nm.arc_ixp) |])
 
 (* ---------- Policy ---------- *)
 
@@ -324,51 +318,13 @@ let test_differential_fixture_unknown () =
       check_bool "via provider" true (r.Bgp.via = Bgp.Via_provider)
   | None -> Alcotest.fail "6 should reach 7"
 
-(* ---------- Arc-label memo ---------- *)
+(* ---------- Arc labels ---------- *)
 
-let label_builds () =
-  match Obs.Metrics.find (Obs.Metrics.snapshot ()) "topo.arc_relations.builds" with
-  | Some { Obs.Metrics.value = Obs.Metrics.Counter c; _ } -> c
-  | Some _ | None -> Alcotest.fail "topo.arc_relations.builds not registered"
-
-let with_counting f =
-  let was = Obs.Control.enabled () in
-  Obs.Control.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.Control.set_enabled was) f
-
-let test_labels_built_once () =
-  with_counting @@ fun () ->
+let test_labels_one_per_arc () =
   let t = fixture () in
-  let before = label_builds () in
-  for _ = 1 to 3 do
-    ignore
-      (Directional.saturated_sampled ~rng:(rng ()) ~sources:10 t ~is_broker:(fun _ -> true));
-    ignore (Bgp.routes_to t 5)
-  done;
-  ignore (Policy.valley_free t [ 5; 2; 0; 1; 4; 7 ]);
-  check_int "one build" 1 (label_builds () - before);
-  check_bool "shared labels" true (T.arc_relations t == T.arc_relations t);
-  check_int "one label per arc" (G.arcs t.T.graph) (Bytes.length (T.arc_relations t))
-
-let test_labels_rebuilt_on_mutation () =
-  with_counting @@ fun () ->
-  let t = fixture () in
-  check_bool "peer before" true (Policy.classify t 3 4 = Policy.Flat);
-  let stamp = Nm.Relations.stamp t.T.relations in
-  let before = label_builds () in
-  Nm.Relations.add_c2p t.T.relations ~customer:3 ~provider:4;
-  check_bool "stamp bumped" true (Nm.Relations.stamp t.T.relations > stamp);
-  check_bool "up after" true (Policy.classify t 3 4 = Policy.Up);
-  let labels = T.arc_relations t in
-  check_bool "arc 3->4 up" true
-    (Bytes.get labels (G.arc_index t.T.graph 3 4) = Nm.arc_up);
-  check_bool "arc 4->3 down" true
-    (Bytes.get labels (G.arc_index t.T.graph 4 3) = Nm.arc_down);
-  check_int "one rebuild" 1 (label_builds () - before);
-  check_bool "bgp sees the new relation" true (bgp_agrees t (Array.init 10 Fun.id));
-  Nm.Relations.add_peer t.T.relations 3 4;
-  check_bool "flat again" true (Policy.classify t 3 4 = Policy.Flat);
-  check_int "second rebuild" 2 (label_builds () - before)
+  check_int "one label per arc" (G.arcs t.T.graph) (Bytes.length t.T.arc_relations);
+  check_bool "arc 2->0 up" true (arc_label t 2 0 = Nm.arc_up);
+  check_bool "arc 0->2 down" true (arc_label t 0 2 = Nm.arc_down)
 
 (* ---------- Stitch ---------- *)
 
@@ -435,8 +391,7 @@ let suite =
       ] );
     ( "topology.arc_relations",
       [
-        Alcotest.test_case "built once per topology" `Quick test_labels_built_once;
-        Alcotest.test_case "rebuilt after mutation" `Quick test_labels_rebuilt_on_mutation;
+        Alcotest.test_case "one label per arc" `Quick test_labels_one_per_arc;
       ] );
     ( "routing.stitch",
       [

@@ -84,16 +84,18 @@ let test_workload_invalid () =
 
 (* ---------- Simulator ---------- *)
 
-(* Star topology fixture wrapped as a Topology.t: center 0 is the broker. *)
-let star_topo n =
-  let graph = star_graph n in
-  {
-    Broker_topo.Topology.graph;
-    kinds = Array.make n Broker_topo.Node_meta.Transit;
-    tiers = Array.make n 2;
-    names = Array.init n (fun i -> Printf.sprintf "AS%d" i);
-    relations = Broker_topo.Node_meta.Relations.create ();
-  }
+(* [graph] wrapped as an unlabelled Topology.t of transit ASes. *)
+let topo_of_graph graph =
+  let n = G.n graph in
+  Broker_topo.Topology.make
+    ~kinds:(Array.make n Broker_topo.Node_meta.Transit)
+    ~tiers:(Array.make n 2)
+    ~names:(Array.init n (fun i -> Printf.sprintf "AS%d" i))
+    ~n
+    (Array.map (fun (u, v) -> (u, v, Broker_topo.Node_meta.arc_none)) (G.edges graph))
+
+(* Star topology fixture: center 0 is the broker. *)
+let star_topo n = topo_of_graph (star_graph n)
 
 let session ~id ~src ~dst ~arrival ~duration =
   { Workload.id; src; dst; arrival; duration; demand = 1.0 }
@@ -132,8 +134,7 @@ let test_sim_departure_frees_capacity () =
   check_int "peak one at a time" 1 stats.Sim.peak_in_flight
 
 let test_sim_no_path () =
-  let graph = G.of_edges ~n:4 [| (0, 1); (2, 3) |] in
-  let topo = { (star_topo 4) with Broker_topo.Topology.graph } in
+  let topo = topo_of_graph (G.of_edges ~n:4 [| (0, 1); (2, 3) |]) in
   let sessions = [| session ~id:0 ~src:0 ~dst:3 ~arrival:0.0 ~duration:1.0 |] in
   let stats = Sim.run topo ~brokers:[| 0; 2 |] ~sessions (Sim.uniform_capacity 10.0) in
   check_int "no path" 1 stats.Sim.rejected_no_path;
@@ -151,8 +152,7 @@ let test_sim_revenue_and_hops () =
 
 let test_sim_employee_hops () =
   (* Path 0(broker) - 1 - 2(broker): vertex 1 is hired. *)
-  let graph = path_graph 3 in
-  let topo = { (star_topo 3) with Broker_topo.Topology.graph } in
+  let topo = topo_of_graph (path_graph 3) in
   let sessions = [| session ~id:0 ~src:0 ~dst:2 ~arrival:0.0 ~duration:1.0 |] in
   let config = Sim.uniform_capacity 5.0 in
   let stats = Sim.run topo ~brokers:[| 0; 2 |] ~sessions config in
@@ -491,8 +491,7 @@ let sim_qcheck_noop =
    The path picked at admission is an implementation detail, so crash each
    broker in turn: exactly one of the two runs must reroute. *)
 let cycle_fixture () =
-  let graph = G.of_edges ~n:4 [| (0, 1); (1, 2); (2, 3); (3, 0) |] in
-  let topo = { (star_topo 4) with Broker_topo.Topology.graph } in
+  let topo = topo_of_graph (G.of_edges ~n:4 [| (0, 1); (1, 2); (2, 3); (3, 0) |]) in
   let sessions = [| session ~id:0 ~src:0 ~dst:2 ~arrival:0.0 ~duration:10.0 |] in
   (topo, sessions)
 
@@ -885,16 +884,14 @@ let test_latency_assign_all_edges () =
 let test_latency_relation_bases () =
   let t = small_internet ~seed:5 ~scale:0.005 () in
   let lat = Latency.assign ~rng:(rng ()) t in
-  G.iter_edges t.Broker_topo.Topology.graph (fun u v ->
-      let l = Latency.edge_latency lat u v in
-      match Broker_topo.Node_meta.Relations.find t.Broker_topo.Topology.relations u v with
-      | Some Broker_topo.Node_meta.Ixp_member ->
-          check_bool "ixp range" true (l >= 1.0 && l <= 3.0)
-      | Some Broker_topo.Node_meta.Peer ->
-          check_bool "peer range" true (l >= 2.5 && l <= 7.5)
-      | Some Broker_topo.Node_meta.Customer_provider ->
-          check_bool "transit range" true (l >= 5.0 && l <= 15.0)
-      | None -> ())
+  let module Nm = Broker_topo.Node_meta in
+  Broker_topo.Topology.iter_labelled_edges t (fun u v l ->
+      let lat = Latency.edge_latency lat u v in
+      if l = Nm.arc_ixp then check_bool "ixp range" true (lat >= 1.0 && lat <= 3.0)
+      else if l = Nm.arc_peer then check_bool "peer range" true (lat >= 2.5 && lat <= 7.5)
+      else if l = Nm.arc_up || l = Nm.arc_down then
+        check_bool "transit range" true (lat >= 5.0 && lat <= 15.0)
+      else Alcotest.fail "generated edge without a relation")
 
 let test_latency_path_latency () =
   let t = small_internet ~seed:5 ~scale:0.005 () in

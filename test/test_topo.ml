@@ -9,31 +9,40 @@ module Classic = Broker_topo.Classic
 module Internet = Broker_topo.Internet
 module Dataset = Broker_topo.Dataset
 
-(* ---------- Node_meta.Relations ---------- *)
+(* ---------- Arc labels written by Topology.make ---------- *)
+
+let make_topo ?(ixps = []) ~n edges =
+  let kinds = Array.init n (fun v -> if List.mem v ixps then Nm.Ixp else Nm.Transit) in
+  T.make ~kinds ~tiers:(Array.make n 2) ~names:(Array.make n "") ~n edges
 
 let test_relations_c2p_orientation () =
-  let r = Nm.Relations.create () in
-  Nm.Relations.add_c2p r ~customer:5 ~provider:2;
-  check_bool "customer" true (Nm.Relations.customer_of r 5 2);
-  check_bool "not reversed" false (Nm.Relations.customer_of r 2 5);
-  check_bool "provider" true (Nm.Relations.provider_of r 2 5);
-  check_bool "find" true (Nm.Relations.find r 2 5 = Some Nm.Customer_provider);
-  check_bool "not peers" false (Nm.Relations.peers r 5 2)
+  let t = make_topo ~n:6 [| (5, 2, Nm.arc_up) |] in
+  check_bool "customer side up" true (arc_label t 5 2 = Nm.arc_up);
+  check_bool "provider side down" true (arc_label t 2 5 = Nm.arc_down);
+  let t' = make_topo ~n:6 [| (2, 5, Nm.arc_down) |] in
+  check_bool "same labels from the provider's side" true
+    (Bytes.equal t.T.arc_relations t'.T.arc_relations)
 
 let test_relations_peer_ixp () =
-  let r = Nm.Relations.create () in
-  Nm.Relations.add_peer r 1 2;
-  Nm.Relations.add_ixp_member r ~as_node:3 ~ixp:9;
-  check_bool "peer both ways" true (Nm.Relations.peers r 2 1);
-  check_bool "ixp as peer" true (Nm.Relations.peers r 3 9);
-  check_bool "find ixp" true (Nm.Relations.find r 9 3 = Some Nm.Ixp_member);
-  check_bool "missing" true (Nm.Relations.find r 1 9 = None);
-  check_int "cardinal" 2 (Nm.Relations.cardinal r)
+  let t = make_topo ~ixps:[ 9 ] ~n:10 [| (1, 2, Nm.arc_peer); (9, 3, Nm.arc_ixp) |] in
+  check_bool "peer both ways" true (arc_label t 2 1 = Nm.arc_peer && arc_label t 1 2 = Nm.arc_peer);
+  check_bool "ixp both ways" true (arc_label t 3 9 = Nm.arc_ixp && arc_label t 9 3 = Nm.arc_ixp);
+  check_int "missing edge" (-1) (G.arc_index t.T.graph 1 9);
+  check_int "one label per arc" 4 (Bytes.length t.T.arc_relations);
+  (* A repeated edge keeps the last label given; an unlabelled repeat
+     leaves it in place. *)
+  let t =
+    make_topo ~n:3
+      [| (0, 1, Nm.arc_peer); (1, 0, Nm.arc_up); (0, 1, Nm.arc_none); (1, 2, Nm.arc_none) |]
+  in
+  check_bool "last label wins" true (arc_label t 1 0 = Nm.arc_up && arc_label t 0 1 = Nm.arc_down);
+  check_bool "unlabelled edge" true (arc_label t 1 2 = Nm.arc_none && arc_label t 2 1 = Nm.arc_none)
 
 let test_relations_self_edge () =
-  let r = Nm.Relations.create () in
-  Alcotest.check_raises "self" (Invalid_argument "Relations.add_peer: self edge")
-    (fun () -> Nm.Relations.add_peer r 4 4)
+  Alcotest.check_raises "self" (Invalid_argument "Topology.make: self edge") (fun () ->
+      ignore (make_topo ~n:5 [| (4, 4, Nm.arc_peer) |]));
+  Alcotest.check_raises "unknown label" (Invalid_argument "Topology.make: unknown label")
+    (fun () -> ignore (make_topo ~n:5 [| (1, 4, 'x') |]))
 
 (* ---------- Classic generators ---------- *)
 
@@ -103,22 +112,15 @@ let test_internet_deterministic () =
 
 let test_internet_relations_complete () =
   let t = Lazy.force small in
-  let missing = ref 0 in
-  G.iter_edges t.T.graph (fun u v ->
-      if Nm.Relations.find t.T.relations u v = None then incr missing);
-  check_int "every edge classified" 0 !missing
+  check_bool "one mirrored label per arc" true (labels_mirrored t);
+  check_bool "every edge classified" false (Bytes.contains t.T.arc_relations Nm.arc_none)
 
 let test_internet_ixp_edges_touch_ixps () =
   let t = Lazy.force small in
   let bad = ref 0 in
-  G.iter_edges t.T.graph (fun u v ->
-      match Nm.Relations.find t.T.relations u v with
-      | Some Nm.Ixp_member -> if not (T.is_ixp t u || T.is_ixp t v) then incr bad
-      | Some Nm.Customer_provider | Some Nm.Peer ->
-          if T.is_ixp t u || T.is_ixp t v then incr bad
-      | None -> ()
-  );
-  check_int "relation kinds consistent with node kinds" 0 !bad
+  T.iter_labelled_edges t (fun u v l ->
+      if l = Nm.arc_ixp <> (T.is_ixp t u <> T.is_ixp t v) then incr bad);
+  check_int "ixp labels exactly on AS-IXP edges" 0 !bad
 
 let test_internet_tiers () =
   let t = Lazy.force small in
@@ -131,7 +133,7 @@ let test_internet_tiers () =
         (fun v ->
           if u <> v then begin
             check_bool "clique edge" true (G.mem_edge t.T.graph u v);
-            check_bool "peer link" true (Nm.Relations.peers t.T.relations u v)
+            check_bool "peer link" true (arc_label t u v = Nm.arc_peer)
           end)
         tier1)
     tier1
@@ -168,15 +170,25 @@ let test_topology_ases_only () =
     (fun new_id old_id ->
       check_bool "kind preserved" true
         (Nm.kind_equal restricted.T.kinds.(new_id) t.T.kinds.(old_id)))
-    mapping
+    mapping;
+  (* Every AS-AS edge keeps its label. *)
+  let kept = ref 0 in
+  T.iter_labelled_edges restricted (fun u v l ->
+      if l = arc_label t mapping.(u) mapping.(v) then incr kept);
+  check_int "labels kept" (G.m restricted.T.graph) !kept;
+  check_bool "mirrored" true (labels_mirrored restricted)
 
 (* ---------- Dataset ---------- *)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 let test_dataset_roundtrip () =
   let t = small_internet ~seed:9 ~scale:0.005 () in
-  let path = Filename.temp_file "topo" ".txt" in
+  let path = Filename.temp_file "topo" ".txt" and path' = Filename.temp_file "topo" ".txt" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
+    ~finally:(fun () ->
+      Sys.remove path;
+      Sys.remove path')
     (fun () ->
       Dataset.save ~path t;
       let t' = Dataset.load ~path in
@@ -187,17 +199,30 @@ let test_dataset_roundtrip () =
         check_int "tier" t.T.tiers.(v) t'.T.tiers.(v);
         Alcotest.(check string) "name" t.T.names.(v) t'.T.names.(v)
       done;
-      (* Relations survive with orientation. *)
-      let mismatch = ref 0 in
-      G.iter_edges t.T.graph (fun u v ->
-          let r1 = Nm.Relations.find t.T.relations u v in
-          let r2 = Nm.Relations.find t'.T.relations u v in
-          if r1 <> r2 then incr mismatch;
-          if
-            Nm.Relations.customer_of t.T.relations u v
-            <> Nm.Relations.customer_of t'.T.relations u v
-          then incr mismatch);
-      check_int "relations preserved" 0 !mismatch)
+      (* Relations survive with orientation, and saving again reproduces
+         the file byte for byte. *)
+      check_bool "labels preserved" true (Bytes.equal t.T.arc_relations t'.T.arc_relations);
+      Dataset.save ~path:path' t';
+      check_bool "file reproduced" true (String.equal (read_file path) (read_file path')))
+
+(* One malformed file per loader error, each named by the line at fault. *)
+let malformed_files =
+  [
+    ("extra_edge.txt", "Dataset.load: line 7: more edges than the header's 2");
+    ("node_id_out_of_range.txt", "Dataset.load: line 4: node id 3 outside [0, 3)");
+    ("endpoint_out_of_range.txt", "Dataset.load: line 5: endpoint 7 outside [0, 3)");
+    ("negative_count.txt", "Dataset.load: line 1: negative edge count -1");
+    ("self_loop.txt", "Dataset.load: line 5: self-loop on 1");
+    ("unknown_relation.txt", "Dataset.load: line 5: unknown relation \"xx\"");
+    ("empty.txt", "Dataset.load: line 1: bad header");
+  ]
+
+let test_dataset_malformed () =
+  List.iter
+    (fun (file, msg) ->
+      Alcotest.check_raises file (Failure msg) (fun () ->
+          ignore (Dataset.load ~path:(Filename.concat "fixtures/topology" file))))
+    malformed_files
 
 let suite =
   [
@@ -231,5 +256,9 @@ let suite =
         Alcotest.test_case "counts" `Quick test_topology_counts;
         Alcotest.test_case "ases only" `Quick test_topology_ases_only;
       ] );
-    ("topo.dataset", [ Alcotest.test_case "roundtrip" `Quick test_dataset_roundtrip ]);
+    ( "topo.dataset",
+      [
+        Alcotest.test_case "roundtrip" `Quick test_dataset_roundtrip;
+        Alcotest.test_case "malformed files" `Quick test_dataset_malformed;
+      ] );
   ]
