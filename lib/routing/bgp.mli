@@ -21,7 +21,13 @@ val routes_to : Broker_topo.Topology.t -> int -> route option array
 (** [routes_to topo d] gives every vertex's selected route toward [d]
     ([None] when no policy-compliant route exists; the destination itself
     has [hops = 0, via = Via_customer]). IXP nodes participate as
-    transparent fabrics: their memberships behave as peerings. *)
+    transparent fabrics: their memberships behave as peerings.
+
+    The customer pass walks the topology's [providers] CSR and the
+    provider pass its [customers] CSR (see {!Broker_topo.Topology.t}),
+    so neither reads an arc of another class. Scratch arrays live in a
+    per-domain workspace; the returned array is fresh, and its route
+    values are shared between calls on one domain (they are immutable). *)
 
 val reachable_fraction :
   rng:Broker_util.Xrandom.t -> destinations:int -> Broker_topo.Topology.t -> float

@@ -70,6 +70,19 @@ let save ~path t =
       Topology.iter_labelled_edges t (fun u v l ->
           Printf.fprintf oc "e %d %d %s\n" u v (List.assoc l rel_codes)))
 
+(* A growable array: the loader sizes nothing from a header count, so a
+   file can only make it allocate what its own lines hold. *)
+type 'a buf = { mutable data : 'a array; mutable len : int }
+
+let push b x =
+  if b.len = Array.length b.data then begin
+    let data = Array.make (max 16 (2 * b.len)) x in
+    Array.blit b.data 0 data 0 b.len;
+    b.data <- data
+  end;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1
+
 let load ~path =
   let ic = open_in path in
   Fun.protect
@@ -105,24 +118,23 @@ let load ~path =
         if v < 0 || v >= n then fail "%s %d outside [0, %d)" what v n;
         v
       in
-      let kinds = Array.make n Node_meta.Enterprise in
-      let tiers = Array.make n 3 in
-      let names = Array.make n "" in
-      let edges = Array.make m (0, 0, Node_meta.arc_none) in
-      let n_edges = ref 0 in
+      (* Node lines come in id order, as [save] writes them. *)
+      let nodes = { data = [||]; len = 0 } in
+      let edges = { data = [||]; len = 0 } in
       (try
          while true do
            match String.split_on_char ' ' (next_line ()) with
            | "n" :: v :: kind :: tier :: name_parts ->
                let v = node "node id" v in
-               kinds.(v) <-
-                 (match kind_of_code kind with
+               if v <> nodes.len then fail "node id %d out of order, expected %d" v nodes.len;
+               let kind =
+                 match kind_of_code kind with
                  | Some k -> k
-                 | None -> fail "unknown kind %S" kind);
-               tiers.(v) <- int_field "tier" tier;
-               names.(v) <- String.concat " " name_parts
+                 | None -> fail "unknown kind %S" kind
+               in
+               push nodes (kind, int_field "tier" tier, String.concat " " name_parts)
            | [ "e"; u; v; rel ] ->
-               if !n_edges = m then fail "more edges than the header's %d" m;
+               if edges.len = m then fail "more edges than the header's %d" m;
                let u = node "endpoint" u and v = node "endpoint" v in
                if u = v then fail "self-loop on %d" u;
                let label =
@@ -130,10 +142,16 @@ let load ~path =
                  | Some (l, _) -> l
                  | None -> fail "unknown relation %S" rel
                in
-               edges.(!n_edges) <- (u, v, label);
-               incr n_edges
+               push edges (u, v, label)
            | [] | [ "" ] -> ()
            | _ -> fail "malformed line"
          done
        with End_of_file -> ());
-      Topology.make ~kinds ~tiers ~names ~n (Array.sub edges 0 !n_edges))
+      if nodes.len < n then fail "end of file after %d of the header's %d nodes" nodes.len n;
+      if edges.len < m then fail "end of file after %d of the header's %d edges" edges.len m;
+      let nodes = Array.sub nodes.data 0 n in
+      Topology.make
+        ~kinds:(Array.map (fun (k, _, _) -> k) nodes)
+        ~tiers:(Array.map (fun (_, t, _) -> t) nodes)
+        ~names:(Array.map (fun (_, _, name) -> name) nodes)
+        ~n (Array.sub edges.data 0 m))

@@ -1,11 +1,15 @@
 module G = Broker_graph.Graph
 
+type csr = { off : int array; adj : int array }
+
 type t = {
   graph : G.t;
   kinds : Node_meta.kind array;
   tiers : int array;
   names : string array;
   arc_relations : Bytes.t;
+  customers : csr;
+  providers : csr;
 }
 
 let mirror l =
@@ -13,6 +17,28 @@ let mirror l =
   else if l = Node_meta.arc_down then Node_meta.arc_up
   else if l = Node_meta.arc_none || l = Node_meta.arc_peer || l = Node_meta.arc_ixp then l
   else invalid_arg "Topology.make: unknown label"
+
+(* The arcs of [graph] labelled [l], in CSR order. *)
+let select graph labels l =
+  let n = G.n graph and off = G.csr_off graph and adj = G.csr_adj graph in
+  let soff = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    let c = ref soff.(u) in
+    for a = off.(u) to off.(u + 1) - 1 do
+      if Bytes.get labels a = l then incr c
+    done;
+    soff.(u + 1) <- !c
+  done;
+  let sadj = Array.make soff.(n) 0 in
+  let w = ref 0 in
+  Array.iteri
+    (fun a v ->
+      if Bytes.get labels a = l then begin
+        sadj.(!w) <- v;
+        incr w
+      end)
+    adj;
+  { off = soff; adj = sadj }
 
 (* The one writer of arc labels. An unlabelled repeat of an edge leaves an
    earlier label in place. *)
@@ -30,7 +56,15 @@ let make ~kinds ~tiers ~names ~n edges =
         Bytes.set arc_relations (G.arc_index graph v u) back
       end)
     edges;
-  { graph; kinds; tiers; names; arc_relations }
+  {
+    graph;
+    kinds;
+    tiers;
+    names;
+    arc_relations;
+    customers = select graph arc_relations Node_meta.arc_down;
+    providers = select graph arc_relations Node_meta.arc_up;
+  }
 
 let iter_labelled_edges t f =
   let off = G.csr_off t.graph and adj = G.csr_adj t.graph in

@@ -6,6 +6,10 @@
     always match the graph they were written for. To change the graph,
     build a new topology. *)
 
+type csr = { off : int array; adj : int array }
+(** A directed adjacency in CSR form: the targets of [u] are
+    [adj.(off.(u)) .. adj.(off.(u+1) - 1)]. Read-only. *)
+
 type t = private {
   graph : Broker_graph.Graph.t;
   kinds : Node_meta.kind array;
@@ -18,6 +22,14 @@ type t = private {
           [Broker_graph.Graph.csr_adj]: {!Node_meta.arc_up} when the
           arc's tail is the customer, and so on. Callers must not mutate
           it. *)
+  customers : csr;
+      (** The arcs labelled {!Node_meta.arc_down}, in CSR order: the
+          targets of [u] are its customers. Derived from
+          [arc_relations] by {!make}, so a descending traversal reads
+          only the provider→customer arcs. *)
+  providers : csr;
+      (** The arcs labelled {!Node_meta.arc_up}, in CSR order: the
+          targets of [u] are its providers; the mirror of [customers]. *)
 }
 
 val make :
@@ -32,7 +44,8 @@ val make :
     the label [l] of the arc [u → v]; the arc [v → u] gets the mirror
     label ({!Node_meta.arc_up} ↔ {!Node_meta.arc_down}, the others
     unchanged). When an edge is given more than once, the last label other
-    than {!Node_meta.arc_none} wins.
+    than {!Node_meta.arc_none} wins. It then indexes the labels into
+    [customers] and [providers] (O(arcs)).
     @raise Invalid_argument when a metadata array is not of length [n],
     an edge is a self-loop, or a label is not one of the five
     [Node_meta.arc_*] bytes; and as {!Broker_graph.Graph.of_edges} on an

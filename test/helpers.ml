@@ -70,6 +70,44 @@ let graph_arbitrary =
       int_range 0 1_000_000 >|= fun seed ->
       random_graph (Broker_util.Xrandom.create seed) ~n ~m)
 
+(* A fixed-seed qcheck property as one alcotest case. *)
+let check_prop ?(count = 8) ~seed name arb law =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
+    (QCheck.Test.make ~count ~name arb law)
+
+(* A random labelled topology on [n] vertices from [m] random pairs: any
+   node kinds (IXPs included), any of the five label bytes on any kind
+   pair, repeated edges in either orientation. Vertex 0 is a tier-1 AS,
+   so the topology always has a transit core. *)
+let random_topology rng ~n ~m =
+  let module Nm = Broker_topo.Node_meta in
+  let module X = Broker_util.Xrandom in
+  let kinds_pool = Array.of_list Nm.all_kinds in
+  let labels = [| Nm.arc_none; Nm.arc_up; Nm.arc_down; Nm.arc_peer; Nm.arc_ixp |] in
+  let kinds =
+    Array.init n (fun v ->
+        if v = 0 then Nm.Tier1 else kinds_pool.(X.int rng (Array.length kinds_pool)))
+  in
+  let tiers =
+    Array.init n (fun v -> if v = 0 then 1 else if Nm.is_as kinds.(v) then 1 + X.int rng 3 else 0)
+  in
+  let edges =
+    List.filter_map
+      (fun _ ->
+        let u = X.int rng n and v = X.int rng n in
+        if u = v then None else Some (u, v, labels.(X.int rng (Array.length labels))))
+      (List.init m Fun.id)
+  in
+  Broker_topo.Topology.make ~kinds ~tiers
+    ~names:(Array.init n (Printf.sprintf "V%d"))
+    ~n (Array.of_list edges)
+
+(* qcheck arbitrary for [random_topology]: (seed, n, m). *)
+let topology_arbitrary =
+  QCheck.make
+    ~print:(fun (seed, n, m) -> Printf.sprintf "<seed=%d n=%d m=%d>" seed n m)
+    QCheck.Gen.(triple (int_range 0 1_000_000) (int_range 2 30) (int_range 0 90))
+
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in

@@ -17,6 +17,11 @@ let peers topo u v =
   let l = label topo u v in
   l = Nm.arc_peer || l = Nm.arc_ixp
 
+(* The neighbours v of u, in adjacency order, whose arc u -> v carries
+   label [l]: customers under [arc_down], providers under [arc_up]. *)
+let labelled_neighbours topo u l =
+  List.filter (fun v -> label topo u v = l) (Array.to_list (G.neighbors topo.T.graph u))
+
 (* ---------- Directional ---------- *)
 
 type upgrades = (int * int, unit) Hashtbl.t

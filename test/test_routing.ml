@@ -239,11 +239,9 @@ let test_upgrades_other_graph () =
 
 (* ---------- Differential oracle ---------- *)
 
-(* Fixed-seed property runs: the label-based kernels against the
-   hash-probing reference of oracle_valley_free.ml, bit for bit. *)
-let check_prop ?(count = 8) ~seed name arb law =
-  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
-    (QCheck.Test.make ~count ~name arb law)
+(* Fixed-seed property runs ([Helpers.check_prop]): the label-based
+   kernels against the hash-probing reference of oracle_valley_free.ml,
+   bit for bit. *)
 
 let upgrade_fractions = [ 0.0; 0.3; 1.0 ]
 
@@ -266,6 +264,46 @@ let directional_agrees topo ~brokers ~sources ~upgrade_seed =
 
 let bgp_agrees topo dests =
   Array.for_all (fun d -> Bgp.routes_to topo d = Oracle.routes_to topo d) dests
+
+(* Per-source distances folded into a curve through the float
+   arithmetic every evaluator shares. *)
+let curve_of_distances ~l_max ~n dists =
+  let hist = Array.make (l_max + 1) 0 and reached = ref 0 in
+  List.iter
+    (Array.iter (fun d ->
+         if d > 0 then begin
+           incr reached;
+           if d <= l_max then hist.(d) <- hist.(d) + 1
+         end))
+    dists;
+  Conn.curve_of_counts ~l_max ~hist ~reached:!reached ~total:(List.length dists * (n - 1))
+
+(* Multi-source curves (l_max 1 and 10) and saturated values agree with
+   curves built from the oracle's distances, for every upgrade fraction:
+   the kernels count reached vertices inside the sweep, not through
+   [distances]. *)
+let curves_agree topo ~brokers ~sources ~upgrade_seed =
+  let n = T.n topo in
+  let is_broker = Conn.of_brokers ~n brokers in
+  let rng = Broker_util.Xrandom.create 0 in
+  List.for_all
+    (fun fraction ->
+      let mk () = Broker_util.Xrandom.create upgrade_seed in
+      let upgrades = Directional.upgrade_broker_edges ~rng:(mk ()) topo ~brokers ~fraction in
+      let reference = Oracle.upgrade_broker_edges ~rng:(mk ()) topo ~brokers ~fraction in
+      let dists =
+        List.map (Oracle.distances ~upgrades:reference topo ~is_broker) (Array.to_list sources)
+      in
+      List.for_all
+        (fun l_max ->
+          Directional.curve_sampled ~l_max ~upgrades ~source_set:sources ~rng ~sources:0 topo
+            ~is_broker
+          = curve_of_distances ~l_max ~n dists)
+        [ 1; 10 ]
+      && Directional.saturated_sampled ~upgrades ~source_set:sources ~rng ~sources:0 topo
+           ~is_broker
+         = (curve_of_distances ~l_max:1 ~n dists).Conn.saturated)
+    upgrade_fractions
 
 let instance_arb =
   QCheck.make
@@ -299,6 +337,37 @@ let differential_generated =
              = Oracle.distances topo ~is_broker:Conn.unrestricted s)
            sources
       && bgp_agrees topo dests)
+
+let differential_curves =
+  check_prop ~count:6 ~seed:20170612 "curves = oracle-built curves" instance_arb
+    (fun (seed, scale, prefix) ->
+      let topo = small_internet ~seed ~scale () in
+      let n = T.n topo in
+      let order = Broker_core.Maxsg.run_to_saturation topo.T.graph in
+      let k = int_of_float (prefix *. float_of_int (Array.length order)) in
+      let sources =
+        Broker_util.Sampling.without_replacement (Broker_util.Xrandom.create seed) ~n
+          ~k:(min 8 n)
+      in
+      curves_agree topo ~brokers:(Array.sub order 0 k) ~sources ~upgrade_seed:(seed + 1)
+      && curves_agree topo ~brokers:order ~sources ~upgrade_seed:(seed + 2))
+
+(* Random graphs through [Topology.make]: IXPs anywhere and every label
+   byte on every kind pair, including labels no generator writes (a
+   provider arc into a fabric, a peering between two IXPs). *)
+let differential_adversarial =
+  check_prop ~count:150 ~seed:20170613 "adversarial labels = oracle" topology_arbitrary
+    (fun (seed, n, m) ->
+      let rng = Broker_util.Xrandom.create seed in
+      let topo = random_topology rng ~n ~m in
+      let all = Array.init n Fun.id in
+      let brokers =
+        Array.of_list (List.filter (fun _ -> Broker_util.Xrandom.bool rng) (Array.to_list all))
+      in
+      directional_agrees topo ~brokers ~sources:all ~upgrade_seed:seed
+      && directional_agrees topo ~brokers:all ~sources:all ~upgrade_seed:(seed + 1)
+      && curves_agree topo ~brokers ~sources:all ~upgrade_seed:(seed + 2)
+      && bgp_agrees topo all)
 
 let test_differential_fixture_unknown () =
   let t = fixture_with_unknown () in
@@ -386,6 +455,8 @@ let suite =
     ( "routing.valley_oracle",
       [
         differential_generated;
+        differential_curves;
+        differential_adversarial;
         Alcotest.test_case "fixture with unknown relation" `Quick
           test_differential_fixture_unknown;
       ] );

@@ -44,6 +44,42 @@ let test_relations_self_edge () =
   Alcotest.check_raises "unknown label" (Invalid_argument "Topology.make: unknown label")
     (fun () -> ignore (make_topo ~n:5 [| (1, 4, 'x') |]))
 
+(* ---------- Relation CSRs ---------- *)
+
+(* [customers] and [providers] hold, in CSR order, exactly the neighbours
+   the oracle finds by filtering the arc labels, and mirror each other. *)
+let relation_csrs_ok t =
+  let segment (c : T.csr) u =
+    Array.to_list (Array.sub c.T.adj c.T.off.(u) (c.T.off.(u + 1) - c.T.off.(u)))
+  in
+  let customers = segment t.T.customers and providers = segment t.T.providers in
+  let ok = ref (Array.length t.T.customers.T.adj = Array.length t.T.providers.T.adj) in
+  for u = 0 to T.n t - 1 do
+    if
+      customers u <> Oracle_valley_free.labelled_neighbours t u Nm.arc_down
+      || providers u <> Oracle_valley_free.labelled_neighbours t u Nm.arc_up
+      || not (List.for_all (fun v -> List.mem u (providers v)) (customers u))
+    then ok := false
+  done;
+  !ok
+
+let relation_csrs =
+  check_prop ~count:40 ~seed:20170614 "customers/providers = label filter" topology_arbitrary
+    (fun (seed, n, m) ->
+      let rng = rng () in
+      let t = random_topology (Broker_util.Xrandom.create seed) ~n ~m in
+      let path = Filename.temp_file "topo" ".txt" in
+      let loaded =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Dataset.save ~path t;
+            Dataset.load ~path)
+      in
+      relation_csrs_ok t && relation_csrs_ok loaded
+      && relation_csrs_ok (fst (T.with_ases_only t))
+      && relation_csrs_ok (Broker_topo.Churn.grow ~rng t ~new_ases:(1 + (seed mod 20))))
+
 (* ---------- Classic generators ---------- *)
 
 let test_er_size () =
@@ -215,6 +251,11 @@ let malformed_files =
     ("self_loop.txt", "Dataset.load: line 5: self-loop on 1");
     ("unknown_relation.txt", "Dataset.load: line 5: unknown relation \"xx\"");
     ("empty.txt", "Dataset.load: line 1: bad header");
+    ( "huge_node_count.txt",
+      "Dataset.load: line 2: end of file after 0 of the header's 99999999999999 nodes" );
+    ( "huge_edge_count.txt",
+      "Dataset.load: line 6: end of file after 1 of the header's 4611686018427387903 edges" );
+    ("node_out_of_order.txt", "Dataset.load: line 3: node id 2 out of order, expected 1");
   ]
 
 let test_dataset_malformed () =
@@ -231,6 +272,7 @@ let suite =
         Alcotest.test_case "c2p orientation" `Quick test_relations_c2p_orientation;
         Alcotest.test_case "peer & ixp" `Quick test_relations_peer_ixp;
         Alcotest.test_case "self edge" `Quick test_relations_self_edge;
+        relation_csrs;
       ] );
     ( "topo.classic",
       [
